@@ -41,6 +41,7 @@ from .patterns import (
     fuse,
     fusible,
     fusion_candidates,
+    fusion_pairs,
     prefixorder,
     suffixorder,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "fuse",
     "fusible",
     "fusion_candidates",
+    "fusion_pairs",
     "gamma_distance",
     "is_occurrence",
     "matching",

@@ -3,7 +3,8 @@
 The three subcommands mirror the three workflows: analyzing one series,
 comparing algorithm strategies on it, and validating the engine against the
 definitional reference miner. Exit codes: 0 success, 1 usage error, 2 data
-error, 3 verification mismatch (``check`` only).
+error, 3 verification mismatch (``check`` against the reference miner, or
+``bench`` strategies against each other).
 """
 
 from __future__ import annotations
@@ -177,12 +178,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         stats.wall_time = statistics.fmean(times)
         rows.append(bench_row(name, len(found), stats))
 
-    reference = {(fp.pattern, fp.support) for fp in outcomes[names[0]]}
+    reference = _occurrence_map(outcomes[names[0]])
+    disagree = False
     for name in names[1:]:
-        got = {(fp.pattern, fp.support) for fp in outcomes[name]}
+        got = _occurrence_map(outcomes[name])
         if got != reference:
+            disagree = True
             print(
-                f"warning: {name} and {names[0]} disagree on the frequent set",
+                f"warning: {name} and {names[0]} disagree on the frequent patterns "
+                "or their occurrences",
                 file=sys.stderr,
             )
 
@@ -196,7 +200,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     print(f"bench: {out_path}")
     print(f"table: {text_path}")
-    return EXIT_OK
+    return EXIT_MISMATCH if disagree else EXIT_OK
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -210,8 +214,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     mined, _ = mine(series, config.params, "aop", threads=args.threads)
     reference = oracle_mine(series, config.params, max_len)
-    mined_map = {fp.pattern: fp.support for fp in mined}
-    reference_map = {fp.pattern: fp.support for fp in reference}
+    mined_map = _occurrence_map(mined)
+    reference_map = _occurrence_map(reference)
 
     print(f"engine:    {len(mined_map)} patterns")
     print(f"reference: {len(reference_map)} patterns")
@@ -229,6 +233,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_MISMATCH
 
 
+def _occurrence_map(found: Sequence[FrequentPattern]) -> dict:
+    return {fp.pattern: fp.occurrences for fp in found}
+
+
 def _print_pattern_summary(found: Sequence[FrequentPattern]) -> None:
     by_length = Counter(len(fp.pattern) for fp in found)
     print(f"patterns found: {len(found)}")
@@ -237,13 +245,19 @@ def _print_pattern_summary(found: Sequence[FrequentPattern]) -> None:
 
 
 def _print_diff(mined: dict, reference: dict, limit: int = 20) -> None:
+    """One line per pattern whose occurrence lists differ: supports, then the
+    positions found on one side only."""
     shown = 0
     for pattern in sorted(set(mined) | set(reference), key=lambda p: (len(p), p)):
-        left, right = mined.get(pattern), reference.get(pattern)
+        left, right = mined.get(pattern, ()), reference.get(pattern, ())
         if left == right:
             continue
         if shown == limit:
             print("  ...")
             break
-        print(f"  {pattern}: engine={left} reference={right}")
+        print(
+            f"  {pattern}: engine={len(left)} reference={len(right)}; "
+            f"engine only {sorted(set(left) - set(right))}, "
+            f"reference only {sorted(set(right) - set(left))}"
+        )
         shown += 1

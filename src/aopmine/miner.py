@@ -20,18 +20,18 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .core import (
     MiningParams,
     OccurrenceSet,
     Pattern,
     TimeSeries,
-    is_occurrence,
 )
-from .patterns import enumerate_extensions, fuse, fusible
+from .patterns import enumerate_extensions, fuse, fusion_pairs
 
 ALGORITHMS = ("aop", "nopruning", "em", "scan_em", "oracle")
 
@@ -77,29 +77,68 @@ class MiningStats:
         self.patterns_pruned_by_count += other.patterns_pruned_by_count
 
 
+def rank_memo(n: int) -> list[Any]:
+    """An empty window-rank memo for ``matching`` over a series of n samples.
+
+    Slot x (1 <= x <= n) will hold the rank vector of the window starting at
+    1-based position x; slot 0 holds the dict that interns equal vectors to
+    one shared tuple, which keeps a level's memo small.
+    """
+    return [{}] + [None] * n
+
+
 def matching(
     candidates: Iterable[int],
     t: Pattern,
     series: TimeSeries,
     params: MiningParams,
     stats: MiningStats | None = None,
+    ranks: list[Any] | None = None,
 ) -> OccurrenceSet:
     """Filter candidate start positions down to true occurrences of ``t``.
 
     Every candidate is charged to the matching-window counter. A candidate
     whose window would run off the series is a caller bug and raises.
+
+    ``ranks`` is a memo from ``rank_memo(len(series))`` shared by every
+    candidate of one pattern length (one level), so each window is ranked
+    at most once per level. Its invariant: slot x is ``None`` or the rank
+    vector of the length-``len(t)`` window at 1-based start x, so a memo must
+    never be reused for another window length. Threads may share one memo:
+    a slot is only ever written with an equal value. Ranks are computed here
+    without ``compute_ranks``'s finiteness check, because ``TimeSeries``
+    already rejects non-finite samples. Without a memo, a fresh one is used.
     """
     m = len(t)
     vals = series.values
     last_start = len(vals) - m + 1
+    delta, gamma = params.delta, params.gamma
+    if ranks is None:
+        ranks = rank_memo(len(vals))
+    shapes = ranks[0]
     out = []
+    tested = 0
     for pos in candidates:
         if not 1 <= pos <= last_start:
             raise ValueError(f"candidate position {pos} out of range for window length {m}")
-        if stats is not None:
-            stats.matching_windows_tested += 1
-        if is_occurrence(t, vals[pos - 1 : pos - 1 + m], params):
-            out.append(pos)
+        tested += 1
+        r = ranks[pos]
+        if r is None:
+            window = vals[pos - 1 : pos - 1 + m]
+            ordered = sorted(window)
+            r = tuple([1 + bisect_left(ordered, v) for v in window])
+            r = ranks[pos] = shapes.setdefault(r, r)
+        total = 0
+        for x, y in zip(r, t):
+            gap = x - y if x > y else y - x
+            if gap > delta:
+                break
+            total += gap
+        else:
+            if total <= gamma:
+                out.append(pos)
+    if stats is not None:
+        stats.matching_windows_tested += tested
     return tuple(out)
 
 
@@ -131,19 +170,21 @@ def checking(
     series: TimeSeries,
     params: MiningParams,
     stats: MiningStats | None = None,
+    ranks: list[Any] | None = None,
 ) -> Optional[FrequentPattern]:
     """Decide whether the fused superpattern ``t`` is frequent.
 
     Candidate positions come from screening the parents' occurrence lists.
     If fewer than minsup survive, the pattern is pruned without touching the
-    series; otherwise matching confirms the survivors.
+    series; otherwise matching confirms the survivors, through the level's
+    rank memo ``ranks`` when one is given.
     """
     c_t = screen(a_p, a_q)
     if len(c_t) < params.minsup:
         if stats is not None:
             stats.patterns_pruned_by_count += 1
         return None
-    a_t = matching(c_t, t, series, params, stats)
+    a_t = matching(c_t, t, series, params, stats, ranks)
     if len(a_t) < params.minsup:
         return None
     return FrequentPattern(t, a_t)
@@ -156,6 +197,7 @@ def mine_variant_support(
     params: MiningParams,
     kind: str,
     stats: MiningStats | None = None,
+    ranks: list[Any] | None = None,
 ) -> Optional[FrequentPattern]:
     """Support computation for the baseline strategies (``kind != "aop"``).
 
@@ -163,24 +205,25 @@ def mine_variant_support(
     the prefix parent's occurrence list (narrowed to positions whose longer
     window still fits, then subject to pruning); for ``nopruning`` it is the
     already-screened candidate list, matched unconditionally; ``scan_em``
-    ignores it and rescans every window.
+    ignores it and rescans every window. ``ranks`` is the level's rank memo,
+    passed on to ``matching``.
     """
     last_start = len(series.values) - len(t) + 1
+    if kind in ("em", "nopruning") and parent_occurrences is None:
+        raise ValueError(f"kind {kind!r} needs parent_occurrences")
     if kind == "em":
-        assert parent_occurrences is not None
         c_t: Sequence[int] = tuple(x for x in parent_occurrences if x <= last_start)
         if len(c_t) < params.minsup:
             if stats is not None:
                 stats.patterns_pruned_by_count += 1
             return None
     elif kind == "nopruning":
-        assert parent_occurrences is not None
         c_t = parent_occurrences
     elif kind == "scan_em":
         c_t = range(1, last_start + 1)
     else:
         raise ValueError(f"unsupported variant kind: {kind!r}")
-    a_t = matching(c_t, t, series, params, stats)
+    a_t = matching(c_t, t, series, params, stats, ranks)
     if len(a_t) < params.minsup:
         return None
     return FrequentPattern(t, a_t)
@@ -197,25 +240,21 @@ def alar(
 
     Every fusible ordered pair of frequent patterns (self-pairs included)
     contributes its fused superpatterns; each candidate is screened, possibly
-    pruned, and matched. Output is sorted by rank vector.
+    pruned, and matched, all candidates sharing one window-rank memo. Output
+    is sorted by rank vector.
     """
     if stats is None:
         stats = MiningStats()
-    by_pattern = {fp.pattern: fp for fp in frequent}
-    pats = sorted(by_pattern)
+    by_pattern = {fp.pattern: fp.occurrences for fp in frequent}
     tasks = []
-    for p in pats:
-        for q in pats:
-            if not fusible(p, q):
-                continue
-            a_p = by_pattern[p].occurrences
-            a_q = by_pattern[q].occurrences
-            for t in fuse(p, q).produced:
-                stats.count_candidate(len(t))
-                tasks.append((t, a_p, a_q))
+    for p, q in fusion_pairs(by_pattern):
+        for t in fuse(p, q).produced:
+            stats.count_candidate(len(t))
+            tasks.append((t, by_pattern[p], by_pattern[q]))
+    ranks = rank_memo(len(series))
     found = _run_tasks(
         tasks,
-        lambda task, local: checking(task[0], task[1], task[2], series, params, local),
+        lambda task, local: checking(task[0], task[1], task[2], series, params, local, ranks),
         stats,
         threads,
     )
@@ -272,10 +311,11 @@ def _bootstrap(
 ) -> tuple[FrequentPattern, ...]:
     """Level 2: full scan for the ascending and the descending pair shape."""
     n = len(series.values)
+    ranks = rank_memo(n)
     found = []
     for pat in ((1, 2), (2, 1)):
         stats.count_candidate(2)
-        occs = matching(range(1, n), pat, series, params, stats)
+        occs = matching(range(1, n), pat, series, params, stats, ranks)
         if len(occs) >= params.minsup:
             found.append(FrequentPattern(pat, occs))
     return tuple(found)
@@ -288,21 +328,18 @@ def _grow_fusion_nopruning(
     stats: MiningStats,
     threads: int,
 ) -> tuple[FrequentPattern, ...]:
-    by_pattern = {fp.pattern: fp for fp in frequent}
-    pats = sorted(by_pattern)
+    by_pattern = {fp.pattern: fp.occurrences for fp in frequent}
     tasks = []
-    for p in pats:
-        for q in pats:
-            if not fusible(p, q):
-                continue
-            screened = screen(by_pattern[p].occurrences, by_pattern[q].occurrences)
-            for t in fuse(p, q).produced:
-                stats.count_candidate(len(t))
-                tasks.append((t, screened))
+    for p, q in fusion_pairs(by_pattern):
+        screened = screen(by_pattern[p], by_pattern[q])
+        for t in fuse(p, q).produced:
+            stats.count_candidate(len(t))
+            tasks.append((t, screened))
+    ranks = rank_memo(len(series))
     found = _run_tasks(
         tasks,
         lambda task, local: mine_variant_support(
-            task[0], task[1], series, params, "nopruning", local
+            task[0], task[1], series, params, "nopruning", local, ranks
         ),
         stats,
         threads,
@@ -323,9 +360,12 @@ def _grow_enumeration(
         for t in enumerate_extensions(fp.pattern):
             stats.count_candidate(len(t))
             tasks.append((t, fp.occurrences))
+    ranks = rank_memo(len(series))
     found = _run_tasks(
         tasks,
-        lambda task, local: mine_variant_support(task[0], task[1], series, params, kind, local),
+        lambda task, local: mine_variant_support(
+            task[0], task[1], series, params, kind, local, ranks
+        ),
         stats,
         threads,
     )

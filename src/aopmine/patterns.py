@@ -9,7 +9,7 @@ point of preferring it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import Pattern, RankVector, compute_ranks
 
@@ -95,20 +95,37 @@ def enumerate_extensions(p: Pattern) -> tuple[Pattern, ...]:
     return tuple(out)
 
 
+def fusion_pairs(patterns: Iterable[Pattern]) -> Iterator[tuple[Pattern, Pattern]]:
+    """Every fusible ordered pair of equal-length patterns, self-pairs included.
+
+    The pairs come in the order of a nested loop over the sorted patterns
+    (``p`` outer, ``q`` inner) that keeps the pairs with ``fusible(p, q)``.
+    Instead of testing all k² pairs, the patterns are grouped once by prefix
+    shape and each ``p`` looks up the group of its suffix shape, so a level
+    costs O(k) shape computations. Mixed lengths raise, as ``fusible`` does.
+    """
+    pats = sorted(patterns)
+    lengths = {len(p) for p in pats}
+    if len(lengths) > 1:
+        raise ValueError(f"length mismatch among patterns: {sorted(lengths)}")
+    by_prefix: dict[RankVector, list[Pattern]] = {}
+    for q in pats:
+        by_prefix.setdefault(prefixorder(q), []).append(q)
+    for p in pats:
+        for q in by_prefix.get(suffixorder(p), ()):
+            yield p, q
+
+
 def fusion_candidates(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
     """Superpattern candidates from fusing every fusible ordered pair.
 
-    Pairs iterate in sorted pattern order, self-pairs included. Distinct
-    pairs can never produce the same superpattern (its prefix and suffix
-    shapes pin down the parents), so the result is duplicate-free.
+    The pairs are those of ``fusion_pairs``: p in sorted order, and for each p
+    its fusible partners q in sorted order, self-pairs included; each pair's
+    superpatterns follow in ``fuse`` order. Distinct pairs can never produce
+    the same superpattern (its prefix and suffix shapes pin down the
+    parents), so the result is duplicate-free.
     """
-    pats = sorted(patterns)
-    out: list[Pattern] = []
-    for p in pats:
-        for q in pats:
-            if fusible(p, q):
-                out.extend(fuse(p, q).produced)
-    return tuple(out)
+    return tuple(t for p, q in fusion_pairs(patterns) for t in fuse(p, q).produced)
 
 
 def enumeration_candidates(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:

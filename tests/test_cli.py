@@ -123,6 +123,27 @@ class TestBenchCommand:
         em_cells = lines[2].split(",")
         assert int(aop_cells[3]) <= int(em_cells[3])  # total candidates
 
+    def test_disagreeing_occurrences_exit_3(self, workdir, monkeypatch, capsys):
+        # same frequent set and counters, one occurrence fewer: still a mismatch
+        import aopmine.cli as cli
+
+        real_mine = cli.mine
+
+        def lossy_mine(series, params, kind="aop", threads=1):
+            found, stats = real_mine(series, params, kind, threads)
+            if kind == "em":
+                last = found[-1]
+                dropped = aopmine.FrequentPattern(last.pattern, last.occurrences[:-1])
+                found = found[:-1] + (dropped,)
+            return found, stats
+
+        monkeypatch.setattr(cli, "mine", lossy_mine)
+        code = main(["bench", *MINE_FLAGS, "--algorithms", "aop,em", "--output", "b.csv"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "em and aop disagree" in captured.err
+        assert "em: 11 patterns" in captured.out
+
     def test_repeat_flag(self, workdir):
         code = main(["bench", *MINE_FLAGS, "--algorithms", "aop", "--repeat", "3",
                      "--output", "b.csv"])

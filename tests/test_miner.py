@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+import sys
 
 import pytest
 
@@ -17,6 +19,7 @@ from aopmine import (
     oracle_exact_opp,
     screen,
 )
+from aopmine.miner import rank_memo
 from conftest import SAMPLE_EXPECTED, SAMPLE_VALUES, freq_map, random_series, sample_frequent
 
 MINERS = ("aop", "nopruning", "em", "scan_em")
@@ -53,6 +56,39 @@ class TestMatching:
             matching((13,), (2, 3, 1, 5, 4), sample_series, sample_params)
         with pytest.raises(ValueError, match="out of range"):
             matching((0,), (1, 2), sample_series, sample_params)
+
+    def test_out_of_range_candidate_raises_with_a_memo(self, sample_series, sample_params):
+        ranks = rank_memo(len(sample_series))
+        with pytest.raises(ValueError, match="out of range"):
+            matching((13,), (2, 3, 1, 5, 4), sample_series, sample_params, None, ranks)
+        with pytest.raises(ValueError, match="out of range"):
+            matching((0,), (2, 3, 1, 5, 4), sample_series, sample_params, None, ranks)
+
+    @pytest.mark.parametrize("tie_free", [True, False])
+    @pytest.mark.parametrize("delta", [0, 1, 2])
+    @pytest.mark.parametrize("gamma", [0, 2, 4])
+    def test_shared_memo_equals_is_occurrence(self, tie_free, delta, gamma):
+        # one memo serves every same-length candidate of a level; each result
+        # must still be exactly the definitional occurrence set
+        rng = random.Random(delta * 10 + gamma)
+        if tie_free:
+            series = random_series(rng, 60)
+        else:  # 3-symbol alphabet: most windows hold ties
+            series = TimeSeries(tuple(float(rng.randint(1, 3)) for _ in range(60)))
+        params = MiningParams(delta=delta, gamma=gamma, minsup=1)
+        vals = series.values
+        for m in (2, 3, 4):
+            ranks = rank_memo(len(vals))
+            positions = range(1, len(vals) - m + 2)
+            for t in itertools.permutations(range(1, m + 1)):
+                candidates = sorted(rng.sample(positions, len(positions) // 2))
+                stats = MiningStats()
+                got = matching(candidates, t, series, params, stats, ranks)
+                expected = tuple(
+                    x for x in candidates if is_occurrence(t, vals[x - 1 : x - 1 + m], params)
+                )
+                assert got == expected
+                assert stats.matching_windows_tested == len(candidates)
 
 
 class TestChecking:
@@ -142,6 +178,11 @@ class TestVariantSupport:
         assert got is None
         assert stats.patterns_pruned_by_count == 1
         assert stats.matching_windows_tested == 0
+
+    @pytest.mark.parametrize("kind", ["em", "nopruning"])
+    def test_missing_parent_occurrences_raises(self, kind, sample_series, sample_params):
+        with pytest.raises(ValueError, match="needs parent_occurrences"):
+            mine_variant_support((1, 2, 3), None, sample_series, sample_params, kind)
 
     def test_aop_kind_rejected(self, sample_series, sample_params):
         with pytest.raises(ValueError):
@@ -259,6 +300,22 @@ class TestMineProperties:
             assert stats.candidates_generated == base_stats.candidates_generated
             assert stats.matching_windows_tested == base_stats.matching_windows_tested
             assert stats.patterns_pruned_by_count == base_stats.patterns_pruned_by_count
+
+    def test_shared_rank_memo_under_thread_switching(self):
+        # pool workers share each level's rank memo; force frequent switches
+        # so that a lost or wrong slot write would change the result
+        series = random_series(random.Random(7), 300)
+        params = MiningParams(delta=1, gamma=2, minsup=8)
+        baseline = {kind: mine(series, params, kind) for kind in ("aop", "nopruning", "em")}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for kind, (base_found, base_stats) in baseline.items():
+                found, stats = mine(series, params, kind, threads=8)
+                assert found == base_found, kind
+                assert stats.matching_windows_tested == base_stats.matching_windows_tested
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_anti_monotone_at_zero_tolerance(self):
         from aopmine import prefixorder, suffixorder

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from aopmine import (
     fuse,
     fusible,
     fusion_candidates,
+    fusion_pairs,
     prefixorder,
     suffixorder,
 )
@@ -156,3 +158,30 @@ class TestCandidateGeneration:
         for k in range(1, len(perms) + 1, max(1, len(perms) // 4)):
             subset = perms[:k]
             assert set(fusion_candidates(subset)) <= set(enumeration_candidates(subset))
+
+
+def _nested_fusible_pairs(patterns):
+    pats = sorted(patterns)
+    return [(p, q) for p in pats for q in pats if fusible(p, q)]
+
+
+class TestFusionPairs:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_same_pairs_as_nested_loop_on_all_patterns(self, m):
+        perms = list(itertools.permutations(range(1, m + 1)))
+        assert list(fusion_pairs(perms)) == _nested_fusible_pairs(perms)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_same_pairs_as_nested_loop_on_random_subsets(self, m):
+        rng = random.Random(m)
+        perms = list(itertools.permutations(range(1, m + 1)))
+        for _ in range(20):
+            subset = rng.sample(perms, rng.randint(1, len(perms)))
+            assert list(fusion_pairs(subset)) == _nested_fusible_pairs(subset)
+
+    def test_empty_level(self):
+        assert list(fusion_pairs([])) == []
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            list(fusion_pairs([(1, 2), (1, 2, 3)]))

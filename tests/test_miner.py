@@ -252,6 +252,86 @@ class TestMineEdges:
         }
 
 
+def _gaussian_walk(seed: int, n: int) -> TimeSeries:
+    rng = random.Random(seed)
+    x, values = 0.0, []
+    for _ in range(n):
+        x += rng.gauss(0, 1)
+        values.append(x)
+    return TimeSeries(tuple(values))
+
+
+def _three_symbols(seed: int, n: int) -> TimeSeries:
+    rng = random.Random(seed)
+    return TimeSeries(tuple(float(rng.randint(1, 3)) for _ in range(n)))
+
+
+# every strategy finds the same frequent set; each keeps its own counters:
+# (candidates by length, windows tested, patterns pruned)
+PINNED_RUNS = {
+    "walk": (
+        _gaussian_walk(12, 30),
+        MiningParams(delta=1, gamma=1, minsup=4),
+        {
+            (1, 2): (1, 4, 5, 7, 12, 13, 14, 15, 16, 17, 18, 19, 21, 22, 24, 25, 28),
+            (2, 1): (2, 3, 6, 8, 9, 10, 11, 20, 23, 26, 27, 29),
+            (1, 2, 3): (4, 12, 13, 14, 15, 16, 17, 18, 21, 24),
+            (1, 3, 2): (7, 19, 25, 28),
+            (2, 1, 3): (3, 6, 11, 20, 23, 27),
+            (3, 2, 1): (2, 8, 9, 10, 26),
+            (1, 2, 3, 4): (12, 13, 14, 15, 16, 17),
+            (2, 1, 3, 4): (3, 11, 20, 23),
+            (1, 2, 3, 4, 5): (12, 13, 14, 15, 16),
+            (1, 2, 3, 4, 5, 6): (12, 13, 14, 15),
+        },
+        {
+            "aop": ({2: 2, 3: 6, 4: 11, 5: 2, 6: 1, 7: 1}, 118, 11),
+            "nopruning": ({2: 2, 3: 6, 4: 11, 5: 2, 6: 1, 7: 1}, 141, 0),
+            "em": ({2: 2, 3: 6, 4: 16, 5: 10, 6: 6, 7: 7}, 334, 4),
+            "scan_em": ({2: 2, 3: 6, 4: 16, 5: 10, 6: 6, 7: 7}, 1236, 0),
+        },
+    ),
+    "tied": (
+        _three_symbols(13, 30),
+        MiningParams(delta=1, gamma=2, minsup=4),
+        {
+            (1, 2): tuple(range(1, 30)),
+            (2, 1): tuple(range(1, 30)),
+            (1, 2, 3): (1, 2, 9, 10, 14, 17, 21, 22, 27, 28),
+            (1, 3, 2): (2, 5, 7, 10, 15, 17, 20, 22, 25, 28),
+            (2, 1, 3): (1, 4, 6, 9, 14, 16, 19, 21, 24, 27),
+            (2, 3, 1): (3, 5, 7, 11, 15, 17, 18, 20, 23, 25),
+            (3, 1, 2): (4, 6, 8, 12, 16, 18, 19, 21, 24, 26),
+            (3, 2, 1): (3, 8, 11, 12, 18, 23, 24, 26),
+            (2, 1, 3, 4): (1, 9, 21, 27),
+            (2, 1, 4, 3): (1, 9, 21, 27),
+            (2, 4, 3, 1): (2, 10, 17, 22),
+            (3, 1, 4, 2): (4, 6, 16, 19),
+            (4, 1, 3, 2): (4, 6, 16, 19, 24),
+            (4, 2, 3, 1): (4, 6, 19, 24),
+        },
+        {
+            "aop": ({2: 2, 3: 6, 4: 24, 5: 3}, 358, 5),
+            "nopruning": ({2: 2, 3: 6, 4: 24, 5: 3}, 368, 0),
+            "em": ({2: 2, 3: 6, 4: 24, 5: 30}, 535, 10),
+            "scan_em": ({2: 2, 3: 6, 4: 24, 5: 30}, 1654, 0),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", MINERS)
+@pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+def test_pinned_frequent_set_and_counters(case, kind):
+    series, params, expected, counters = PINNED_RUNS[case]
+    found, stats = mine(series, params, kind)
+    assert freq_map(found) == expected
+    by_length, windows, pruned = counters[kind]
+    assert stats.candidates_generated == by_length
+    assert stats.matching_windows_tested == windows
+    assert stats.patterns_pruned_by_count == pruned
+
+
 class TestMineProperties:
     def test_exact_mode_equals_reference(self):
         rng = random.Random(1234)

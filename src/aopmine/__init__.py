@@ -30,7 +30,6 @@ from .miner import (
     checking,
     matching,
     mine,
-    mine_variant_support,
     screen,
 )
 from .oracle import oracle_exact_opp, oracle_mine
@@ -71,7 +70,6 @@ __all__ = [
     "is_occurrence",
     "matching",
     "mine",
-    "mine_variant_support",
     "oracle_exact_opp",
     "oracle_mine",
     "prefixorder",

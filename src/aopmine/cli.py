@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError
 from .ingest import build_run_config, load_series, parse_config
 from .miner import ALGORITHMS, ORACLE_MAX_LEN, FrequentPattern, mine
 from .oracle import oracle_mine
-from .report import bench_row, build_report, write_bench, write_report
+from .report import build_report, write_bench, write_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,7 +101,19 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--minsup", type=int, help="absolute occurrence-count threshold (required)")
     p.add_argument("--max-length", type=int, dest="max_length", help="cap on pattern length")
     p.add_argument("--config", help="flat key = value config file; flags override it")
-    p.add_argument("--threads", type=int, default=1, help="engine worker count (default 1)")
+    p.add_argument(
+        "--threads",
+        type=_thread_count,
+        default=1,
+        help="accepted for compatibility and ignored: mining runs in one thread (must be >= 1)",
+    )
+
+
+def _thread_count(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _collect_values(args: argparse.Namespace) -> dict[str, Any]:
@@ -139,7 +151,7 @@ def _resolve_output(explicit: Path | None, name: str, suffix: str) -> Path:
 def cmd_mine(args: argparse.Namespace) -> int:
     config = build_run_config(_collect_values(args))
     series = load_series(config.dataset)
-    found, stats = mine(series, config.params, config.algorithm, threads=args.threads)
+    found, stats = mine(series, config.params, config.algorithm)
     report = build_report(
         dataset=series.name or "series",
         algorithm=config.algorithm,
@@ -172,11 +184,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for name in names:
         times = []
         for _ in range(args.repeat):
-            found, stats = mine(series, config.params, name, threads=args.threads)
+            found, stats = mine(series, config.params, name)
             times.append(stats.wall_time)
         outcomes[name] = found
         stats.wall_time = statistics.fmean(times)
-        rows.append(bench_row(name, len(found), stats))
+        rows.append((name, len(found), stats))
 
     reference = _occurrence_map(outcomes[names[0]])
     disagree = False
@@ -192,11 +204,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     out_path = _resolve_output(config.output, series.name or "series", "bench.csv")
     text_path = write_bench(rows, out_path)
-    for row in rows:
+    for name, pattern_count, stats in rows:
         print(
-            f"{row.algorithm}: {row.pattern_count} patterns, "
-            f"{row.total_candidates} candidates, "
-            f"{row.matching_windows_tested} windows tested"
+            f"{name}: {pattern_count} patterns, "
+            f"{stats.total_candidates} candidates, "
+            f"{stats.matching_windows_tested} windows tested"
         )
     print(f"bench: {out_path}")
     print(f"table: {text_path}")
@@ -212,7 +224,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise ConfigError(f"check needs --max-length <= {ORACLE_MAX_LEN} (exhaustive reference)")
     series = load_series(config.dataset)
 
-    mined, _ = mine(series, config.params, "aop", threads=args.threads)
+    mined, _ = mine(series, config.params, "aop")
     reference = oracle_mine(series, config.params, max_len)
     mined_map = _occurrence_map(mined)
     reference_map = _occurrence_map(reference)
@@ -224,11 +236,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     _print_diff(mined_map, reference_map)
-    if len(set(series.values)) < len(series):
-        # repeated values can tie inside windows, where screening is not
-        # guaranteed lossless; report only
-        print("verdict: DIVERGENCE (ties present; informational only)")
-        return EXIT_OK
     print("verdict: MISMATCH")
     return EXIT_MISMATCH
 

@@ -35,6 +35,8 @@ class DatasetSpec:
         object.__setattr__(self, "path", Path(self.path))
         if self.format and self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}; expected one of {FORMATS}")
+        if isinstance(self.column, int) and self.column < 0:
+            raise ConfigError(f"column index must be >= 0, got {self.column}")
 
     def resolved_format(self) -> str:
         if self.format:

@@ -4,16 +4,17 @@ Mining proceeds level by level from the two length-2 shapes. Support for a
 next-level candidate is narrowed down from its parents' occurrence lists
 (screening), skipped entirely when too few candidate positions survive
 (pruning), and confirmed against the raw series only for the survivors
-(matching). The baseline strategies drop one or more of these devices:
+(matching). The baseline strategies drop one or more of these devices; each
+is one row of ``STRATEGIES``, which sets up the one level loop ``alar``:
 
-* ``aop``        fusion candidates, screening, pruning
-* ``nopruning``  fusion candidates, screening, no early exit
-* ``em``         enumeration candidates, prefix-parent screening, pruning
-* ``scan_em``    enumeration candidates, full window scan per candidate
+* ``aop``        fusion candidates, screened positions, pruning
+* ``nopruning``  fusion candidates, screened positions, no early exit
+* ``em``         enumeration candidates, prefix-parent positions that fit, pruning
+* ``scan_em``    enumeration candidates, every window, no early exit
 * ``oracle``     definitional reference miner (see the oracle module)
 
-All variants share the length-2 bootstrap, produce deterministically sorted
-output, and are safe to run with any worker count.
+All variants share the length-2 bootstrap and produce deterministically
+sorted output.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     MiningParams,
@@ -54,14 +54,15 @@ class FrequentPattern:
 class MiningStats:
     """Counters instrumenting one mining run.
 
-    ``wall_time`` is informational only and excluded from determinism
-    guarantees; the counters are the reproducible performance proxies.
+    ``wall_time`` is informational only: it is excluded from determinism
+    guarantees and from equality, and it is never written to a report. The
+    counters are the reproducible performance proxies.
     """
 
     candidates_generated: dict[int, int] = field(default_factory=dict)
     matching_windows_tested: int = 0
     patterns_pruned_by_count: int = 0
-    wall_time: float = 0.0
+    wall_time: float = field(default=0.0, compare=False)
 
     @property
     def total_candidates(self) -> int:
@@ -69,12 +70,6 @@ class MiningStats:
 
     def count_candidate(self, length: int, n: int = 1) -> None:
         self.candidates_generated[length] = self.candidates_generated.get(length, 0) + n
-
-    def merge(self, other: "MiningStats") -> None:
-        for length, n in other.candidates_generated.items():
-            self.count_candidate(length, n)
-        self.matching_windows_tested += other.matching_windows_tested
-        self.patterns_pruned_by_count += other.patterns_pruned_by_count
 
 
 def rank_memo(n: int) -> list[Any]:
@@ -104,8 +99,7 @@ def matching(
     candidate of one pattern length (one level), so each window is ranked
     at most once per level. Its invariant: slot x is ``None`` or the rank
     vector of the length-``len(t)`` window at 1-based start x, so a memo must
-    never be reused for another window length. Threads may share one memo:
-    a slot is only ever written with an equal value. Ranks are computed here
+    never be reused for another window length. Ranks are computed here
     without ``compute_ranks``'s finiteness check, because ``TimeSeries``
     already rejects non-finite samples. Without a memo, a fresh one is used.
     """
@@ -179,85 +173,95 @@ def checking(
     series; otherwise matching confirms the survivors, through the level's
     rank memo ``ranks`` when one is given.
     """
-    c_t = screen(a_p, a_q)
-    if len(c_t) < params.minsup:
-        if stats is not None:
-            stats.patterns_pruned_by_count += 1
-        return None
-    a_t = matching(c_t, t, series, params, stats, ranks)
-    if len(a_t) < params.minsup:
-        return None
-    return FrequentPattern(t, a_t)
+    if stats is None:
+        stats = MiningStats()
+    found = _confirm((t,), screen(a_p, a_q), True, series, params, stats, ranks)
+    return found[0] if found else None
 
 
-def mine_variant_support(
-    t: Pattern,
-    parent_occurrences: OccurrenceSet | None,
+def _confirm(
+    children: Sequence[Pattern],
+    positions: Sequence[int],
+    prune: bool,
     series: TimeSeries,
     params: MiningParams,
-    kind: str,
-    stats: MiningStats | None = None,
-    ranks: list[Any] | None = None,
-) -> Optional[FrequentPattern]:
-    """Support computation for the baseline strategies (``kind != "aop"``).
+    stats: MiningStats,
+    ranks: list[Any] | None,
+) -> list[FrequentPattern]:
+    """The prune-and-match step for candidates that share candidate positions.
 
-    ``parent_occurrences`` means different things per kind: for ``em`` it is
-    the prefix parent's occurrence list (narrowed to positions whose longer
-    window still fits, then subject to pruning); for ``nopruning`` it is the
-    already-screened candidate list, matched unconditionally; ``scan_em``
-    ignores it and rescans every window. ``ranks`` is the level's rank memo,
-    passed on to ``matching``.
+    With ``prune`` set and fewer than minsup positions, every child is counted
+    as pruned and the series is not touched; otherwise each child is matched
+    at the positions and kept if it reaches minsup.
     """
-    last_start = len(series.values) - len(t) + 1
-    if kind in ("em", "nopruning") and parent_occurrences is None:
-        raise ValueError(f"kind {kind!r} needs parent_occurrences")
-    if kind == "em":
-        c_t: Sequence[int] = tuple(x for x in parent_occurrences if x <= last_start)
-        if len(c_t) < params.minsup:
-            if stats is not None:
-                stats.patterns_pruned_by_count += 1
-            return None
-    elif kind == "nopruning":
-        c_t = parent_occurrences
-    elif kind == "scan_em":
-        c_t = range(1, last_start + 1)
-    else:
-        raise ValueError(f"unsupported variant kind: {kind!r}")
-    a_t = matching(c_t, t, series, params, stats, ranks)
-    if len(a_t) < params.minsup:
-        return None
-    return FrequentPattern(t, a_t)
+    if prune and len(positions) < params.minsup:
+        stats.patterns_pruned_by_count += len(children)
+        return []
+    found = []
+    for t in children:
+        a_t = matching(positions, t, series, params, stats, ranks)
+        if len(a_t) >= params.minsup:
+            found.append(FrequentPattern(t, a_t))
+    return found
+
+
+CandidateGroups = Iterator[tuple[Sequence[Pattern], Sequence[int]]]
+
+
+def _fused_screened(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
+    """Fusion candidates; each fusible pair's children share its screened list."""
+    by_pattern = {fp.pattern: fp.occurrences for fp in level}
+    for p, q in fusion_pairs(by_pattern):
+        yield fuse(p, q).produced, screen(by_pattern[p], by_pattern[q])
+
+
+def _extended_prefix(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
+    """Enumeration candidates at their prefix parent's positions that still fit."""
+    for fp in sorted(level, key=lambda f: f.pattern):
+        last_start = n - len(fp.pattern)
+        yield enumerate_extensions(fp.pattern), tuple(x for x in fp.occurrences if x <= last_start)
+
+
+def _extended_scan(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
+    """Enumeration candidates at every window of their length."""
+    for fp in sorted(level, key=lambda f: f.pattern):
+        yield enumerate_extensions(fp.pattern), range(1, n - len(fp.pattern) + 1)
+
+
+# kind -> (candidates grouped with the positions they share, prune)
+STRATEGIES = {
+    "aop": (_fused_screened, True),
+    "nopruning": (_fused_screened, False),
+    "em": (_extended_prefix, True),
+    "scan_em": (_extended_scan, False),
+}
 
 
 def alar(
-    frequent: Iterable[FrequentPattern],
+    level: Iterable[FrequentPattern],
     series: TimeSeries,
     params: MiningParams,
     stats: MiningStats | None = None,
-    threads: int = 1,
+    kind: str = "aop",
 ) -> tuple[FrequentPattern, ...]:
     """Grow the next pattern length from the current frequent set.
 
-    Every fusible ordered pair of frequent patterns (self-pairs included)
-    contributes its fused superpatterns; each candidate is screened, possibly
-    pruned, and matched, all candidates sharing one window-rank memo. Output
-    is sorted by rank vector.
+    ``kind`` picks a row of ``STRATEGIES``: how candidates are generated, at
+    which positions they are tried, and whether too few positions prune them
+    before matching. All candidates of the level share one window-rank memo.
+    Output is sorted by rank vector.
     """
+    if kind not in STRATEGIES:
+        raise ValueError(f"no level-growth strategy {kind!r}; expected one of {tuple(STRATEGIES)}")
     if stats is None:
         stats = MiningStats()
-    by_pattern = {fp.pattern: fp.occurrences for fp in frequent}
-    tasks = []
-    for p, q in fusion_pairs(by_pattern):
-        for t in fuse(p, q).produced:
-            stats.count_candidate(len(t))
-            tasks.append((t, by_pattern[p], by_pattern[q]))
-    ranks = rank_memo(len(series))
-    found = _run_tasks(
-        tasks,
-        lambda task, local: checking(task[0], task[1], task[2], series, params, local, ranks),
-        stats,
-        threads,
-    )
+    groups, prune = STRATEGIES[kind]
+    n = len(series)
+    ranks = rank_memo(n)
+    found = []
+    for children, positions in groups(tuple(level), n):
+        stats.count_candidate(len(children[0]), len(children))
+        found.extend(_confirm(children, positions, prune, series, params, stats, ranks))
     return tuple(sorted(found, key=lambda fp: fp.pattern))
 
 
@@ -265,7 +269,6 @@ def mine(
     series: TimeSeries,
     params: MiningParams,
     kind: str = "aop",
-    threads: int = 1,
 ) -> tuple[tuple[FrequentPattern, ...], MiningStats]:
     """Mine every frequent pattern of every length from the series.
 
@@ -277,129 +280,31 @@ def mine(
     """
     if kind not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {kind!r}; expected one of {ALGORITHMS}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     stats = MiningStats()
     start = time.perf_counter()
-
     if kind == "oracle":
-        found = _mine_oracle(series, params, stats)
-        stats.wall_time = time.perf_counter() - start
-        return found, stats
-
-    all_found: list[FrequentPattern] = []
-    max_len = params.max_len
-    level = _bootstrap(series, params, stats) if max_len is None or max_len >= 2 else ()
-    all_found.extend(level)
-    m = 2
-    while level and (max_len is None or m < max_len):
-        if kind == "aop":
-            level = alar(level, series, params, stats, threads)
-        elif kind == "nopruning":
-            level = _grow_fusion_nopruning(level, series, params, stats, threads)
-        else:
-            level = _grow_enumeration(level, series, params, stats, threads, kind)
-        all_found.extend(level)
-        m += 1
-
+        found = list(_mine_oracle(series, params, stats))
+    else:
+        found = []
+        max_len = params.max_len
+        level = _bootstrap(series, params, stats) if max_len is None or max_len >= 2 else ()
+        while level:
+            found.extend(level)
+            if max_len is not None and len(level[0].pattern) >= max_len:
+                break
+            level = alar(level, series, params, stats, kind)
     stats.wall_time = time.perf_counter() - start
-    return tuple(sorted(all_found, key=lambda fp: (len(fp.pattern), fp.pattern))), stats
+    return tuple(sorted(found, key=lambda fp: (len(fp.pattern), fp.pattern))), stats
 
 
 def _bootstrap(
     series: TimeSeries, params: MiningParams, stats: MiningStats
 ) -> tuple[FrequentPattern, ...]:
     """Level 2: full scan for the ascending and the descending pair shape."""
-    n = len(series.values)
-    ranks = rank_memo(n)
-    found = []
-    for pat in ((1, 2), (2, 1)):
-        stats.count_candidate(2)
-        occs = matching(range(1, n), pat, series, params, stats, ranks)
-        if len(occs) >= params.minsup:
-            found.append(FrequentPattern(pat, occs))
+    n = len(series)
+    stats.count_candidate(2, 2)
+    found = _confirm(((1, 2), (2, 1)), range(1, n), False, series, params, stats, rank_memo(n))
     return tuple(found)
-
-
-def _grow_fusion_nopruning(
-    frequent: Sequence[FrequentPattern],
-    series: TimeSeries,
-    params: MiningParams,
-    stats: MiningStats,
-    threads: int,
-) -> tuple[FrequentPattern, ...]:
-    by_pattern = {fp.pattern: fp.occurrences for fp in frequent}
-    tasks = []
-    for p, q in fusion_pairs(by_pattern):
-        screened = screen(by_pattern[p], by_pattern[q])
-        for t in fuse(p, q).produced:
-            stats.count_candidate(len(t))
-            tasks.append((t, screened))
-    ranks = rank_memo(len(series))
-    found = _run_tasks(
-        tasks,
-        lambda task, local: mine_variant_support(
-            task[0], task[1], series, params, "nopruning", local, ranks
-        ),
-        stats,
-        threads,
-    )
-    return tuple(sorted(found, key=lambda fp: fp.pattern))
-
-
-def _grow_enumeration(
-    frequent: Sequence[FrequentPattern],
-    series: TimeSeries,
-    params: MiningParams,
-    stats: MiningStats,
-    threads: int,
-    kind: str,
-) -> tuple[FrequentPattern, ...]:
-    tasks = []
-    for fp in sorted(frequent, key=lambda f: f.pattern):
-        for t in enumerate_extensions(fp.pattern):
-            stats.count_candidate(len(t))
-            tasks.append((t, fp.occurrences))
-    ranks = rank_memo(len(series))
-    found = _run_tasks(
-        tasks,
-        lambda task, local: mine_variant_support(
-            task[0], task[1], series, params, kind, local, ranks
-        ),
-        stats,
-        threads,
-    )
-    return tuple(sorted(found, key=lambda fp: fp.pattern))
-
-
-def _run_tasks(
-    tasks: Sequence[tuple],
-    fn: Callable[[tuple, MiningStats], Optional[FrequentPattern]],
-    stats: MiningStats,
-    threads: int,
-) -> list[FrequentPattern]:
-    """Evaluate candidate tasks, sequentially or on a thread pool.
-
-    Each task runs against its own counter set and the deltas merge in task
-    order, so results and stats are identical for any worker count.
-    """
-
-    def run(task: tuple) -> tuple[Optional[FrequentPattern], MiningStats]:
-        local = MiningStats()
-        return fn(task, local), local
-
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, tasks))
-    else:
-        outcomes = [run(task) for task in tasks]
-
-    found = []
-    for result, local in outcomes:
-        stats.merge(local)
-        if result is not None:
-            found.append(result)
-    return found
 
 
 def _mine_oracle(

@@ -43,46 +43,13 @@ class PatternEntry:
 
 
 @dataclass(frozen=True)
-class ReportStats:
-    """Run counters as they appear in a report; wall time is excluded so
-    repeated runs serialize byte-identically."""
-
-    candidates_by_length: tuple[tuple[int, int], ...]
-    total_candidates: int
-    matching_windows_tested: int
-    patterns_pruned_by_count: int
-
-
-@dataclass(frozen=True)
 class MiningReport:
     dataset: str
     algorithm: str
     params: MiningParams
     patterns: tuple[PatternEntry, ...]
-    stats: ReportStats | None
+    stats: MiningStats | None
     tool_version: str
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    """One algorithm's counters on a shared dataset and parameter set."""
-
-    algorithm: str
-    pattern_count: int
-    candidates_by_length: tuple[tuple[int, int], ...]
-    total_candidates: int
-    matching_windows_tested: int
-    patterns_pruned_by_count: int
-    wall_time_s: float
-
-
-def snapshot_stats(stats: MiningStats) -> ReportStats:
-    return ReportStats(
-        candidates_by_length=tuple(sorted(stats.candidates_generated.items())),
-        total_candidates=stats.total_candidates,
-        matching_windows_tested=stats.matching_windows_tested,
-        patterns_pruned_by_count=stats.patterns_pruned_by_count,
-    )
 
 
 def build_report(
@@ -115,7 +82,7 @@ def build_report(
         algorithm=algorithm,
         params=params,
         patterns=entries,
-        stats=snapshot_stats(stats) if stats is not None else None,
+        stats=stats,
         tool_version=__version__,
     )
 
@@ -128,16 +95,6 @@ def report_to_payload(report: MiningReport) -> dict[str, Any]:
         if entry.occurrences is not None:
             item["occurrences"] = list(entry.occurrences)
         patterns.append(item)
-    stats = None
-    if report.stats is not None:
-        stats = {
-            "candidates_by_length": {
-                str(length): count for length, count in report.stats.candidates_by_length
-            },
-            "total_candidates": report.stats.total_candidates,
-            "matching_windows_tested": report.stats.matching_windows_tested,
-            "patterns_pruned_by_count": report.stats.patterns_pruned_by_count,
-        }
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool_version": report.tool_version,
@@ -150,7 +107,20 @@ def report_to_payload(report: MiningReport) -> dict[str, Any]:
             "max_len": report.params.max_len,
         },
         "patterns": patterns,
-        "stats": stats,
+        "stats": _stats_payload(report.stats) if report.stats is not None else None,
+    }
+
+
+def _stats_payload(stats: MiningStats) -> dict[str, Any]:
+    """A run's counters as they appear in a report; wall time is left out so
+    repeated runs serialize byte-identically."""
+    return {
+        "candidates_by_length": {
+            str(length): count for length, count in sorted(stats.candidates_generated.items())
+        },
+        "total_candidates": stats.total_candidates,
+        "matching_windows_tested": stats.matching_windows_tested,
+        "patterns_pruned_by_count": stats.patterns_pruned_by_count,
     }
 
 
@@ -194,11 +164,8 @@ def read_report(path: str | Path) -> MiningReport:
             )
             for item in payload["patterns"]
         ),
-        stats=ReportStats(
-            candidates_by_length=tuple(
-                sorted((int(k), v) for k, v in stats["candidates_by_length"].items())
-            ),
-            total_candidates=stats["total_candidates"],
+        stats=MiningStats(
+            candidates_generated={int(k): v for k, v in stats["candidates_by_length"].items()},
             matching_windows_tested=stats["matching_windows_tested"],
             patterns_pruned_by_count=stats["patterns_pruned_by_count"],
         )
@@ -208,24 +175,13 @@ def read_report(path: str | Path) -> MiningReport:
     )
 
 
-def bench_row(algorithm: str, pattern_count: int, stats: MiningStats) -> BenchRow:
-    return BenchRow(
-        algorithm=algorithm,
-        pattern_count=pattern_count,
-        candidates_by_length=tuple(sorted(stats.candidates_generated.items())),
-        total_candidates=stats.total_candidates,
-        matching_windows_tested=stats.matching_windows_tested,
-        patterns_pruned_by_count=stats.patterns_pruned_by_count,
-        wall_time_s=stats.wall_time,
-    )
-
-
-def write_bench(rows: Iterable[BenchRow], path: str | Path) -> Path:
+def write_bench(rows: Iterable[tuple[str, int, MiningStats]], path: str | Path) -> Path:
     """Write the benchmark table as CSV plus an aligned text rendering.
 
-    The text file lands next to the CSV with a ``.txt`` suffix and its path
-    is returned. Rows are expected to agree on what is frequent; differing
-    pattern counts are flagged in the text rendering.
+    Each row is (algorithm, pattern count, that run's stats). The text file
+    lands next to the CSV with a ``.txt`` suffix and its path is returned.
+    Rows are expected to agree on what is frequent; differing pattern counts
+    are flagged in the text rendering.
     """
     rows = list(rows)
     path = Path(path)
@@ -234,13 +190,13 @@ def write_bench(rows: Iterable[BenchRow], path: str | Path) -> Path:
             writer = csv.writer(fh)
             writer.writerow(BENCH_COLUMNS)
             for row in rows:
-                writer.writerow(_bench_cells(row))
+                writer.writerow(_bench_cells(*row))
     except OSError as exc:
         raise DataError(f"cannot write bench table {path}: {exc}") from exc
 
     text_path = path.with_suffix(".txt")
-    lines = _render_text_table([list(BENCH_COLUMNS)] + [_bench_cells(r) for r in rows])
-    if len({row.pattern_count for row in rows}) > 1:
+    lines = _render_text_table([list(BENCH_COLUMNS)] + [_bench_cells(*row) for row in rows])
+    if len({pattern_count for _, pattern_count, _ in rows}) > 1:
         lines.append("WARNING: pattern counts differ across algorithms")
     try:
         text_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -249,16 +205,18 @@ def write_bench(rows: Iterable[BenchRow], path: str | Path) -> Path:
     return text_path
 
 
-def _bench_cells(row: BenchRow) -> list[str]:
-    by_length = " ".join(f"{length}:{count}" for length, count in row.candidates_by_length)
+def _bench_cells(algorithm: str, pattern_count: int, stats: MiningStats) -> list[str]:
+    by_length = " ".join(
+        f"{length}:{count}" for length, count in sorted(stats.candidates_generated.items())
+    )
     return [
-        row.algorithm,
-        str(row.pattern_count),
+        algorithm,
+        str(pattern_count),
         by_length,
-        str(row.total_candidates),
-        str(row.matching_windows_tested),
-        str(row.patterns_pruned_by_count),
-        f"{row.wall_time_s:.6f}",
+        str(stats.total_candidates),
+        str(stats.matching_windows_tested),
+        str(stats.patterns_pruned_by_count),
+        f"{stats.wall_time:.6f}",
     ]
 
 

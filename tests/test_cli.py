@@ -85,6 +85,23 @@ class TestMineCommand:
         assert main(["mine", *MINE_FLAGS, "--threads", "8", "--output", "t8.json"]) == 0
         assert (workdir / "t1.json").read_bytes() == (workdir / "t8.json").read_bytes()
 
+    def test_thread_count_below_one_exits_1(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mine", *MINE_FLAGS, "--threads", "0"])
+        assert exc.value.code == 1
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_negative_column_exits_1(self, workdir, capsys):
+        # -1 would silently pick the last column; -5 is past the first of two
+        for column in ("-1", "-5"):
+            argv = ["mine", "--input", "sample16.csv", "--column", column, "--minsup", "4"]
+            assert main(argv) == 1
+            assert f"column index must be >= 0, got {column}" in capsys.readouterr().err
+        (workdir / "run.cfg").write_text("input = sample16.csv\ncolumn = -1\nminsup = 4\n")
+        assert main(["mine", "--config", "run.cfg"]) == 1
+        assert "got -1" in capsys.readouterr().err
+        assert not list(workdir.glob("*.report.json"))
+
     def test_usage_errors_exit_1(self, workdir, capsys):
         assert main(["mine", "--input", "sample16.txt", "--delta", "-1", "--minsup", "4"]) == 1
         assert main(["mine", "--input", "sample16.txt"]) == 1
@@ -129,8 +146,8 @@ class TestBenchCommand:
 
         real_mine = cli.mine
 
-        def lossy_mine(series, params, kind="aop", threads=1):
-            found, stats = real_mine(series, params, kind, threads)
+        def lossy_mine(series, params, kind="aop"):
+            found, stats = real_mine(series, params, kind)
             if kind == "em":
                 last = found[-1]
                 dropped = aopmine.FrequentPattern(last.pattern, last.occurrences[:-1])
@@ -180,6 +197,25 @@ class TestCheckCommand:
                          "--minsup", "3", "--max-length", "4"])
             assert code == 0
             assert "verdict: MATCH" in capsys.readouterr().out
+
+    def test_divergence_on_tied_input_exits_3(self, workdir, monkeypatch, capsys):
+        # tied samples get no carve-out: any difference from the reference fails
+        import aopmine.cli as cli
+
+        real_mine = cli.mine
+
+        def lossy_mine(series, params, kind="aop"):
+            found, stats = real_mine(series, params, kind)
+            last = found[-1]
+            dropped = aopmine.FrequentPattern(last.pattern, last.occurrences[1:])
+            return found[:-1] + (dropped,), stats
+
+        monkeypatch.setattr(cli, "mine", lossy_mine)
+        (workdir / "tied.txt").write_text("".join(f"{v % 3}\n" for v in range(40)))
+        code = main(["check", "--input", "tied.txt", "--delta", "1", "--gamma", "2",
+                     "--minsup", "3", "--max-length", "4"])
+        assert code == 3
+        assert "verdict: MISMATCH" in capsys.readouterr().out
 
     def test_max_length_cap(self, workdir, capsys):
         assert main(["check", *MINE_FLAGS, "--max-length", "9"]) == 1

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from aopmine.core import MiningParams
+from aopmine.core import MiningParams, compute_ranks
 from aopmine.errors import ConfigError, DataError
 from aopmine.ingest import (
     DatasetSpec,
@@ -104,6 +104,21 @@ class TestLoadCsv:
         path.write_text("a,b\n1,2\n3\n")
         with pytest.raises(DataError, match=":3"):
             load_series(DatasetSpec(path, column=1))
+
+    def test_negative_column_index_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n1,2\n")
+        for column in (-1, -5):
+            with pytest.raises(ConfigError, match=f"column index must be >= 0, got {column}"):
+                DatasetSpec(path, column=column)
+
+    def test_samples_are_doubles(self, tmp_path):
+        # 2^53 + 1 has no double of its own: it rounds to 2^53 and ties with it
+        path = tmp_path / "big.txt"
+        path.write_text("9007199254740993\n9007199254740992\n1\n")
+        values = load_series(DatasetSpec(path)).values
+        assert values == (9007199254740992.0, 9007199254740992.0, 1.0)
+        assert compute_ranks(values) == (2, 2, 1)
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown format"):

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
 
 import pytest
 
@@ -12,10 +11,10 @@ from aopmine import (
     TimeSeries,
     alar,
     checking,
+    fusion_pairs,
     is_occurrence,
     matching,
     mine,
-    mine_variant_support,
     oracle_exact_opp,
     screen,
 )
@@ -145,48 +144,65 @@ class TestAlar:
 
 
 class TestVariantSupport:
-    def test_em_keeps_all_fitting_prefix_occurrences(self, sample_series, sample_params):
+    """The baseline rows of the strategy table, one level at a time."""
+
+    def test_em_keeps_all_fitting_prefix_occurrences(self, sample_series):
+        # (1, 2, 3, 4) occurs at 3, 4, 12, 13; a length-5 window at 13 would
+        # run off the 16 samples, so its 5 extensions are tried at 3, 4, 12
+        params = MiningParams(delta=1, gamma=2, minsup=3)
         stats = MiningStats()
-        got = mine_variant_support(
-            (2, 3, 1, 5, 4), (1, 3, 6, 11), sample_series, sample_params, "em", stats
-        )
-        assert got is None
-        assert stats.matching_windows_tested == 4
+        alar([sample_frequent((1, 2, 3, 4))], sample_series, params, stats, kind="em")
+        assert stats.candidates_generated == {5: 5}
+        assert stats.matching_windows_tested == 5 * 3
+        assert stats.patterns_pruned_by_count == 0
+
+    def test_em_prunes_when_too_few_fit(self, sample_series, sample_params):
+        # the same three fitting positions are below minsup 4
+        stats = MiningStats()
+        got = alar([sample_frequent((1, 2, 3, 4))], sample_series, sample_params, stats, kind="em")
+        assert got == ()
+        assert stats.patterns_pruned_by_count == 5
+        assert stats.matching_windows_tested == 0
 
     def test_nopruning_matches_below_threshold(self, sample_series, sample_params):
+        # one fusible pair, one child (2, 3, 1, 5, 4), screened positions
+        # (3, 6, 11): below minsup 4, matched anyway
+        level = [sample_frequent((2, 3, 1, 4)), sample_frequent((2, 1, 4, 3))]
         stats = MiningStats()
-        got = mine_variant_support(
-            (2, 3, 1, 5, 4), (3, 6, 11), sample_series, sample_params, "nopruning", stats
-        )
-        assert got is None
+        got = alar(level, sample_series, sample_params, stats, kind="nopruning")
+        assert got == ()
+        assert stats.candidates_generated == {5: 1}
         assert stats.patterns_pruned_by_count == 0
         assert stats.matching_windows_tested == 3
+        pruned = MiningStats()
+        alar(level, sample_series, sample_params, pruned, kind="aop")
+        assert pruned.patterns_pruned_by_count == 1
+        assert pruned.matching_windows_tested == 0
 
     def test_scan_em_tests_every_window(self, sample_series, sample_params):
         stats = MiningStats()
-        mine_variant_support(
-            (2, 3, 1, 5, 4), None, sample_series, sample_params, "scan_em", stats
-        )
-        assert stats.matching_windows_tested == 12
+        alar([sample_frequent((2, 3, 1, 4))], sample_series, sample_params, stats, kind="scan_em")
+        assert stats.candidates_generated == {5: 5}
+        assert stats.matching_windows_tested == 5 * 12
 
-    def test_em_prunes_when_too_few_fit(self, sample_series):
-        params = MiningParams(delta=1, gamma=2, minsup=5)
+    @pytest.mark.parametrize("kind", ["aop", "nopruning"])
+    def test_fusion_screens_once_per_pair(self, kind, sample_series, sample_params, monkeypatch):
+        # (1, 3, 2) with (2, 1, 3) is a two-child pair: both children share
+        # one screened list
+        import aopmine.miner as miner
+
+        calls = []
+        real_screen = miner.screen
+        monkeypatch.setattr(miner, "screen", lambda a, b: calls.append(1) or real_screen(a, b))
+        level = [sample_frequent((1, 3, 2)), sample_frequent((2, 1, 3))]
         stats = MiningStats()
-        got = mine_variant_support(
-            (2, 3, 1, 5, 4), (1, 3, 6, 11), sample_series, params, "em", stats
-        )
-        assert got is None
-        assert stats.patterns_pruned_by_count == 1
-        assert stats.matching_windows_tested == 0
+        alar(level, sample_series, sample_params, stats, kind=kind)
+        pairs = list(fusion_pairs(fp.pattern for fp in level))
+        assert len(calls) == len(pairs) < stats.total_candidates
 
-    @pytest.mark.parametrize("kind", ["em", "nopruning"])
-    def test_missing_parent_occurrences_raises(self, kind, sample_series, sample_params):
-        with pytest.raises(ValueError, match="needs parent_occurrences"):
-            mine_variant_support((1, 2, 3), None, sample_series, sample_params, kind)
-
-    def test_aop_kind_rejected(self, sample_series, sample_params):
-        with pytest.raises(ValueError):
-            mine_variant_support((1, 2, 3), (1,), sample_series, sample_params, "aop")
+    def test_unknown_kind_rejected(self, sample_series, sample_params):
+        with pytest.raises(ValueError, match="strategy"):
+            alar([sample_frequent((1, 2, 3))], sample_series, sample_params, kind="oracle")
 
 
 class TestMineGolden:
@@ -238,10 +254,6 @@ class TestMineEdges:
     def test_unknown_kind_raises(self, sample_series, sample_params):
         with pytest.raises(ValueError, match="unknown algorithm"):
             mine(sample_series, sample_params, "bogus")
-
-    def test_bad_thread_count_raises(self, sample_series, sample_params):
-        with pytest.raises(ValueError, match="threads"):
-            mine(sample_series, sample_params, threads=0)
 
     def test_monotone_series_needs_the_cap(self):
         series = TimeSeries(tuple(float(v) for v in range(30)))
@@ -371,31 +383,6 @@ class TestMineProperties:
             if length > 2:
                 expected += count * (n - length + 1)
         assert stats.matching_windows_tested == expected
-
-    def test_determinism_across_thread_counts(self, sample_series, sample_params):
-        base_found, base_stats = mine(sample_series, sample_params, "aop", threads=1)
-        for threads in (2, 8):
-            found, stats = mine(sample_series, sample_params, "aop", threads=threads)
-            assert found == base_found
-            assert stats.candidates_generated == base_stats.candidates_generated
-            assert stats.matching_windows_tested == base_stats.matching_windows_tested
-            assert stats.patterns_pruned_by_count == base_stats.patterns_pruned_by_count
-
-    def test_shared_rank_memo_under_thread_switching(self):
-        # pool workers share each level's rank memo; force frequent switches
-        # so that a lost or wrong slot write would change the result
-        series = random_series(random.Random(7), 300)
-        params = MiningParams(delta=1, gamma=2, minsup=8)
-        baseline = {kind: mine(series, params, kind) for kind in ("aop", "nopruning", "em")}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for kind, (base_found, base_stats) in baseline.items():
-                found, stats = mine(series, params, kind, threads=8)
-                assert found == base_found, kind
-                assert stats.matching_windows_tested == base_stats.matching_windows_tested
-        finally:
-            sys.setswitchinterval(interval)
 
     def test_anti_monotone_at_zero_tolerance(self):
         from aopmine import prefixorder, suffixorder

@@ -8,8 +8,6 @@ import pytest
 from aopmine import FrequentPattern, MiningStats, mine
 from aopmine.errors import DataError
 from aopmine.report import (
-    BenchRow,
-    bench_row,
     build_report,
     read_report,
     write_bench,
@@ -91,7 +89,7 @@ class TestBenchTable:
         # length-4 candidates where enumeration emits 8
         fused = MiningStats(candidates_generated={4: 3})
         enumerated = MiningStats(candidates_generated={4: 8})
-        return [bench_row("aop", 11, fused), bench_row("em", 11, enumerated)]
+        return [("aop", 11, fused), ("em", 11, enumerated)]
 
     def test_csv_content(self, tmp_path):
         path = tmp_path / "bench.csv"
@@ -113,7 +111,7 @@ class TestBenchTable:
 
     def test_pattern_count_mismatch_is_flagged(self, tmp_path):
         rows = self.fixture_rows()
-        rows[1] = BenchRow("em", 12, ((4, 8),), 8, 0, 0, 0.0)
+        rows[1] = ("em", 12, rows[1][2])
         text_path = write_bench(rows, tmp_path / "bench.csv")
         assert "WARNING: pattern counts differ" in text_path.read_text()
 
@@ -126,6 +124,6 @@ class TestBenchTable:
         rows = []
         for kind in ("aop", "scan_em"):
             found, stats = mine(sample_series, sample_params, kind)
-            rows.append(bench_row(kind, len(found), stats))
+            rows.append((kind, len(found), stats))
         write_bench(rows, tmp_path / "bench.csv")
-        assert rows[0].matching_windows_tested < rows[1].matching_windows_tested
+        assert rows[0][2].matching_windows_tested < rows[1][2].matching_windows_tested

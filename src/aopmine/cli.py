@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .errors import ConfigError, DataError
-from .ingest import build_run_config, load_series, parse_config
+from .ingest import _convert_column, build_run_config, load_series, parse_config
 from .miner import ALGORITHMS, ORACLE_MAX_LEN, FrequentPattern, mine
 from .oracle import oracle_mine
 from .report import build_report, write_bench, write_report
@@ -121,7 +121,7 @@ def _collect_values(args: argparse.Namespace) -> dict[str, Any]:
     overrides = {
         "input": args.input,
         "format": args.format,
-        "column": _parse_column(args.column),
+        "column": None if args.column is None else _convert_column(args.column),
         "delta": args.delta,
         "gamma": args.gamma,
         "minsup": args.minsup,
@@ -134,12 +134,6 @@ def _collect_values(args: argparse.Namespace) -> dict[str, Any]:
         if value is not None:
             values[key] = value
     return values
-
-
-def _parse_column(raw: str | None) -> int | str | None:
-    if raw is None:
-        return None
-    return int(raw) if raw.lstrip("-").isdigit() else raw
 
 
 def _resolve_output(explicit: Path | None, name: str, suffix: str) -> Path:

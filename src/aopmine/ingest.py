@@ -37,6 +37,8 @@ class DatasetSpec:
             raise ConfigError(f"unknown format {self.format!r}; expected one of {FORMATS}")
         if isinstance(self.column, int) and self.column < 0:
             raise ConfigError(f"column index must be >= 0, got {self.column}")
+        if self.column is not None and self.resolved_format() == "plain":
+            raise ConfigError(f"column {self.column!r} given for plain-format input {self.path}")
 
     def resolved_format(self) -> str:
         if self.format:

@@ -22,7 +22,10 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import not_
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -72,14 +75,16 @@ class MiningStats:
         self.candidates_generated[length] = self.candidates_generated.get(length, 0) + n
 
 
-def rank_memo(n: int) -> list[Any]:
+def rank_memo(n: int, prev: list[Any] | None = None) -> list[Any]:
     """An empty window-rank memo for ``matching`` over a series of n samples.
 
     Slot x (1 <= x <= n) will hold the rank vector of the window starting at
-    1-based position x; slot 0 holds the dict that interns equal vectors to
-    one shared tuple, which keeps a level's memo small.
+    1-based position x. Slot 0 holds ``(prev, composed)``: ``prev`` is the
+    memo of the windows one sample shorter (or None), and ``composed`` maps
+    each composition key (see ``matching``) and each ranked vector to one
+    shared tuple, which keeps a level's memo small.
     """
-    return [{}] + [None] * n
+    return [(prev, {})] + [None] * n
 
 
 def matching(
@@ -95,66 +100,68 @@ def matching(
     Every candidate is charged to the matching-window counter. A candidate
     whose window would run off the series is a caller bug and raises.
 
-    ``ranks`` is a memo from ``rank_memo(len(series))`` shared by every
-    candidate of one pattern length (one level), so each window is ranked
-    at most once per level. Its invariant: slot x is ``None`` or the rank
-    vector of the length-``len(t)`` window at 1-based start x, so a memo must
-    never be reused for another window length. Ranks are computed here
-    without ``compute_ranks``'s finiteness check, because ``TimeSeries``
-    already rejects non-finite samples. Without a memo, a fresh one is used.
+    ``ranks`` is a memo from ``rank_memo(len(series), prev)`` shared by every
+    candidate of one pattern length m = ``len(t)``: slot x is ``None`` or the
+    rank vector of the length-m window at 1-based start x, and ``prev`` slot
+    x that of the length-(m-1) window, so a memo is never reused for another
+    length. A window's two length-(m-1) windows and the sign of its first
+    minus its last sample fix its shape (docs/lemmas.md), so it is ranked
+    directly only when that key is new or a ``prev`` slot is empty. Without
+    a memo, a fresh one is used. The δ/γ test runs once per distinct shape.
     """
     m = len(t)
     vals = series.values
-    last_start = len(vals) - m + 1
-    delta, gamma = params.delta, params.gamma
+    if not isinstance(candidates, (tuple, list, range)):
+        candidates = tuple(candidates)
+    if candidates and not 1 <= min(candidates) <= max(candidates) <= len(vals) - m + 1:
+        bad = min(candidates) if min(candidates) < 1 else max(candidates)
+        raise ValueError(f"candidate position {bad} out of range for window length {m}")
     if ranks is None:
         ranks = rank_memo(len(vals))
-    shapes = ranks[0]
-    out = []
-    tested = 0
-    for pos in candidates:
-        if not 1 <= pos <= last_start:
-            raise ValueError(f"candidate position {pos} out of range for window length {m}")
-        tested += 1
-        r = ranks[pos]
-        if r is None:
-            window = vals[pos - 1 : pos - 1 + m]
+    prev, composed = ranks[0]
+    for x in compress(candidates, map(not_, map(ranks.__getitem__, candidates))):
+        key = None
+        if prev is not None and prev[x] is not None and prev[x + 1] is not None:
+            first, last = vals[x - 1], vals[x + m - 2]
+            key = (prev[x], prev[x + 1], (first > last) - (first < last))
+        r = composed.get(key)
+        if r is None:  # no finiteness check: TimeSeries has rejected non-finite samples
+            window = vals[x - 1 : x - 1 + m]
             ordered = sorted(window)
             r = tuple([1 + bisect_left(ordered, v) for v in window])
-            r = ranks[pos] = shapes.setdefault(r, r)
+            r = composed.setdefault(r, r)
+            if key is not None:
+                composed[key] = r
+        ranks[x] = r
+    at = list(map(ranks.__getitem__, candidates))
+    fits = dict.fromkeys(at, False)
+    for r in fits:
         total = 0
         for x, y in zip(r, t):
             gap = x - y if x > y else y - x
-            if gap > delta:
+            if gap > params.delta:
                 break
             total += gap
         else:
-            if total <= gamma:
-                out.append(pos)
+            fits[r] = total <= params.gamma
     if stats is not None:
-        stats.matching_windows_tested += tested
-    return tuple(out)
+        stats.matching_windows_tested += len(at)
+    return tuple(compress(candidates, map(fits.__getitem__, at)))
 
 
 def screen(a_p: OccurrenceSet, a_q: OccurrenceSet) -> OccurrenceSet:
     """Positions x in the first occurrence list with x+1 in the second.
 
-    Both lists are sorted, so one merge pass suffices; the series itself is
-    never consulted.
+    Both lists are sorted. The second is marked in a bytearray indexed by
+    position and the first is probed against it, both in C; the series
+    itself is never consulted.
     """
-    out = []
-    i = j = 0
-    while i < len(a_p) and j < len(a_q):
-        want = a_p[i] + 1
-        if a_q[j] < want:
-            j += 1
-        elif a_q[j] > want:
-            i += 1
-        else:
-            out.append(a_p[i])
-            i += 1
-            j += 1
-    return tuple(out)
+    if not a_p or not a_q:
+        return ()
+    marked = bytearray(max(a_p[-1], a_q[-1]) + 2)
+    deque(map(marked.__setitem__, a_q, repeat(1)), maxlen=0)
+    del marked[0]  # now slot x is set when x + 1 is in a_q
+    return tuple(compress(a_p, map(marked.__getitem__, a_p)))
 
 
 def checking(
@@ -243,12 +250,14 @@ def alar(
     params: MiningParams,
     stats: MiningStats | None = None,
     kind: str = "aop",
+    ranks: list[Any] | None = None,
 ) -> tuple[FrequentPattern, ...]:
     """Grow the next pattern length from the current frequent set.
 
     ``kind`` picks a row of ``STRATEGIES``: how candidates are generated, at
     which positions they are tried, and whether too few positions prune them
-    before matching. All candidates of the level share one window-rank memo.
+    before matching. All candidates of the level share one window-rank memo,
+    ``ranks`` (a fresh one if None; ``mine`` chains each to the level before).
     Output is sorted by rank vector.
     """
     if kind not in STRATEGIES:
@@ -257,7 +266,8 @@ def alar(
         stats = MiningStats()
     groups, prune = STRATEGIES[kind]
     n = len(series)
-    ranks = rank_memo(n)
+    if ranks is None:
+        ranks = rank_memo(n)
     found = []
     for children, positions in groups(tuple(level), n):
         stats.count_candidate(len(children[0]), len(children))
@@ -287,24 +297,24 @@ def mine(
     else:
         found = []
         max_len = params.max_len
-        level = _bootstrap(series, params, stats) if max_len is None or max_len >= 2 else ()
+        n = len(series)
+        level = ()
+        if max_len is None or max_len >= 2:
+            # level 2 tests every window for both pair shapes, composed from the
+            # length-1 windows, whose shape is always (1,)
+            memo = rank_memo(n, [(None, {})] + [(1,)] * n)
+            stats.count_candidate(2, 2)
+            level = _confirm(((1, 2), (2, 1)), range(1, n), False, series, params, stats, memo)
         while level:
             found.extend(level)
             if max_len is not None and len(level[0].pattern) >= max_len:
                 break
-            level = alar(level, series, params, stats, kind)
+            # unlink the memo two levels back, so at most two stay alive
+            memo[0] = (None, memo[0][1])
+            memo = rank_memo(n, memo)
+            level = alar(level, series, params, stats, kind, memo)
     stats.wall_time = time.perf_counter() - start
     return tuple(sorted(found, key=lambda fp: (len(fp.pattern), fp.pattern))), stats
-
-
-def _bootstrap(
-    series: TimeSeries, params: MiningParams, stats: MiningStats
-) -> tuple[FrequentPattern, ...]:
-    """Level 2: full scan for the ascending and the descending pair shape."""
-    n = len(series)
-    stats.count_candidate(2, 2)
-    found = _confirm(((1, 2), (2, 1)), range(1, n), False, series, params, stats, rank_memo(n))
-    return tuple(found)
 
 
 def _mine_oracle(

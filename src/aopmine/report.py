@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence, TextIO
 
 from .core import MiningParams, OccurrenceSet, Pattern
 from .errors import DataError
@@ -125,15 +125,39 @@ def _stats_payload(stats: MiningStats) -> dict[str, Any]:
 
 
 def write_report(report: MiningReport, path: str | Path) -> None:
-    """Write the report as JSON; identical reports produce identical bytes."""
+    """Write the report as JSON; identical reports produce identical bytes.
+
+    The bytes are those of ``json.dump(report_to_payload(report), fh,
+    indent=2)`` plus a newline, but the pattern list is streamed in that
+    layout rather than encoded, so no copy of the occurrence lists is built.
+    """
     path = Path(path)
-    payload = report_to_payload(report)
+    rest = json.dumps(report_to_payload(replace(report, patterns=())), indent=2)
+    head, _, tail = rest.partition('"patterns": []')
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(head + '"patterns": [')
+            for i, entry in enumerate(report.patterns):
+                fh.write(("," if i else "") + '\n    {\n      "ranks": ')
+                _write_ints(fh, entry.ranks)
+                fh.write(f',\n      "support": {entry.support}')
+                if entry.occurrences is not None:
+                    fh.write(',\n      "occurrences": ')
+                    _write_ints(fh, entry.occurrences)
+                fh.write("\n    }")
+            fh.write(("\n  ]" if report.patterns else "]") + tail + "\n")
     except OSError as exc:
         raise DataError(f"cannot write report {path}: {exc}") from exc
+
+
+def _write_ints(fh: TextIO, values: Sequence[int]) -> None:
+    """An integer list laid out as indent=2 does inside a pattern entry; at
+    most 2048 positions are joined into one string at a time."""
+    fh.write("[")
+    for start in range(0, len(values), 2048):
+        chunk = values[start : start + 2048]
+        fh.write(("," if start else "") + ",".join(map("\n        {}".format, chunk)))
+    fh.write("\n      ]" if values else "]")
 
 
 def read_report(path: str | Path) -> MiningReport:

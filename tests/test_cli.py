@@ -102,6 +102,21 @@ class TestMineCommand:
         assert "got -1" in capsys.readouterr().err
         assert not list(workdir.glob("*.report.json"))
 
+    def test_column_on_plain_input_exits_1(self, workdir, capsys):
+        # a plain file has one column: a column choice there is a mistake,
+        # not something to ignore
+        for column, shown in (("7", "7"), ("close", "'close'")):
+            argv = ["mine", "--input", "sample16.txt", "--column", column, "--minsup", "4"]
+            assert main(argv) == 1
+            assert f"column {shown} given for plain-format input" in capsys.readouterr().err
+        (workdir / "run.cfg").write_text("input = sample16.txt\ncolumn = 7\nminsup = 4\n")
+        assert main(["mine", "--config", "run.cfg"]) == 1
+        assert "column 7 given for plain-format input" in capsys.readouterr().err
+        assert not list(workdir.glob("*.report.json"))
+        # the same file read as csv may name its only column
+        argv = ["mine", "--input", "sample16.txt", "--format", "csv", "--column", "0", "--minsup", "4"]
+        assert main(argv) == 0
+
     def test_usage_errors_exit_1(self, workdir, capsys):
         assert main(["mine", "--input", "sample16.txt", "--delta", "-1", "--minsup", "4"]) == 1
         assert main(["mine", "--input", "sample16.txt"]) == 1

@@ -1,12 +1,14 @@
-"""Screening is lossless, tied windows included.
+"""Screening is lossless and window shapes compose, tied windows included.
 
 Screening keeps a position x for a fused pattern t only where its prefix
 shape occurs at x and its suffix shape at x + 1. That loses nothing when an
 occurrence of t at a window always implies occurrences of ``prefixorder(t)``
 and ``suffixorder(t)`` at the window's first and last m - 1 samples, under
-the same delta and gamma. The lemma is checked exhaustively at small sizes
-below, and every strategy is compared with the definitional reference on
-tied random inputs, where any divergence fails.
+the same delta and gamma. The rank memo composes a window's shape from the
+shapes of those two shorter windows and the order of its first and last
+sample. Both lemmas (proved in docs/lemmas.md) are checked exhaustively at
+small sizes below, and every strategy is compared with the definitional
+reference on tied random inputs, where any divergence fails.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import random
 from aopmine import (
     MiningParams,
     TimeSeries,
+    compute_ranks,
     is_occurrence,
     mine,
     oracle_mine,
@@ -52,6 +55,23 @@ def test_screening_lemma_exhaustive():
                     assert is_occurrence(prefix, head, params), (t, window, params)
                     assert is_occurrence(suffix, tail, params), (t, window, params)
     assert occurrences > 0
+
+
+def test_composition_lemma_exhaustive():
+    # every window of length 2..6 over an m-symbol alphabet: that is every
+    # order of m samples, tied or tie-free, so in particular every window
+    # over 1..3 symbols and every tie-free one
+    for m in range(2, 7):
+        shape_of = {}
+        for window in itertools.product(range(m), repeat=m):
+            first, last = window[0], window[-1]
+            key = (
+                compute_ranks(window[:-1]),
+                compute_ranks(window[1:]),
+                (first > last) - (first < last),
+            )
+            shape = compute_ranks(window)
+            assert shape_of.setdefault(key, shape) == shape, window
 
 
 def test_tied_inputs_diagnostic():

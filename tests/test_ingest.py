@@ -112,6 +112,18 @@ class TestLoadCsv:
             with pytest.raises(ConfigError, match=f"column index must be >= 0, got {column}"):
                 DatasetSpec(path, column=column)
 
+    def test_column_on_plain_input_rejected(self, tmp_path):
+        path = tmp_path / "series.txt"
+        path.write_text("1\n2\n")
+        for column in (0, 3, "close"):
+            with pytest.raises(ConfigError, match=f"column {column!r} given for plain-format"):
+                DatasetSpec(path, column=column)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {path}\ncolumn = close\nminsup = 2\n")
+        with pytest.raises(ConfigError, match="column 'close' given for plain-format"):
+            load_config(cfg)
+        assert DatasetSpec(path, format="csv", column=0).column == 0
+
     def test_samples_are_doubles(self, tmp_path):
         # 2^53 + 1 has no double of its own: it rounds to 2^53 and ties with it
         path = tmp_path / "big.txt"

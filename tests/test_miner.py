@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -11,6 +12,7 @@ from aopmine import (
     TimeSeries,
     alar,
     checking,
+    compute_ranks,
     fusion_pairs,
     is_occurrence,
     matching,
@@ -33,6 +35,40 @@ class TestScreen:
 
     def test_all_survive(self):
         assert screen((1, 2, 3), (2, 3, 4)) == (1, 2, 3)
+
+    def test_empty_lists_and_boundary_positions(self):
+        assert screen((1, 2, 3), ()) == ()
+        assert screen((), ()) == ()
+        assert screen((1,), (2,)) == (1,)
+        assert screen((1,), (1,)) == ()
+        assert screen((5,), (6,)) == (5,)  # probes one past the larger last position
+        assert screen((6,), (5,)) == ()
+        assert screen((1, 49_999), (2, 50_000)) == (1, 49_999)
+
+    def test_equals_sorted_merge_on_random_lists(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(1, 200)
+            a_p = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
+            a_q = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
+            assert screen(a_p, a_q) == _merge_screen(a_p, a_q), (a_p, a_q)
+
+
+def _merge_screen(a_p, a_q):
+    """Reference: one merge pass over two sorted lists, x kept when x+1 is in a_q."""
+    out = []
+    i = j = 0
+    while i < len(a_p) and j < len(a_q):
+        want = a_p[i] + 1
+        if a_q[j] < want:
+            j += 1
+        elif a_q[j] > want:
+            i += 1
+        else:
+            out.append(a_p[i])
+            i += 1
+            j += 1
+    return tuple(out)
 
 
 class TestMatching:
@@ -88,6 +124,40 @@ class TestMatching:
                 )
                 assert got == expected
                 assert stats.matching_windows_tested == len(candidates)
+
+    @pytest.mark.parametrize("holes", [False, True])
+    @pytest.mark.parametrize("tie_free", [True, False])
+    @pytest.mark.parametrize("delta", [0, 1, 2])
+    @pytest.mark.parametrize("gamma", [0, 2, 4])
+    def test_chained_memo_equals_is_occurrence(self, holes, tie_free, delta, gamma):
+        # each level's memo is chained to the one before, as mine() does, so
+        # most shapes are composed from the two shorter windows inside; with
+        # holes, every other slot of the previous memo is blank and those
+        # windows (x or x+1 missing) must be ranked directly
+        rng = random.Random(100 + delta * 10 + gamma)
+        if tie_free:
+            series = random_series(rng, 60)
+        else:
+            series = TimeSeries(tuple(float(rng.randint(1, 3)) for _ in range(60)))
+        params = MiningParams(delta=delta, gamma=gamma, minsup=1)
+        vals = series.values
+        n = len(vals)
+        prev = [(None, {})] + [(1,)] * n
+        for m in (2, 3, 4, 5):
+            if holes:
+                prev[2::2] = [None] * len(prev[2::2])
+            ranks = rank_memo(n, prev)
+            positions = range(1, n - m + 2)
+            for t in itertools.permutations(range(1, m + 1)):
+                candidates = sorted(rng.sample(positions, 2 * len(positions) // 3))
+                got = matching(candidates, t, series, params, None, ranks)
+                expected = tuple(
+                    x for x in candidates if is_occurrence(t, vals[x - 1 : x - 1 + m], params)
+                )
+                assert got == expected
+            for x in positions:
+                assert ranks[x] is None or ranks[x] == compute_ranks(vals[x - 1 : x - 1 + m])
+            prev = ranks
 
 
 class TestChecking:
@@ -203,6 +273,37 @@ class TestVariantSupport:
     def test_unknown_kind_rejected(self, sample_series, sample_params):
         with pytest.raises(ValueError, match="strategy"):
             alar([sample_frequent((1, 2, 3))], sample_series, sample_params, kind="oracle")
+
+
+@pytest.mark.parametrize("kind", MINERS)
+def test_level_memo_is_garbage_two_levels_on(kind, monkeypatch):
+    # mine() chains each level's rank memo to the previous one; a level's
+    # memo must be freed by the time the level two further on is grown
+    import aopmine.miner as miner
+
+    class Memo(list):  # a list subclass, so it can be weakly referenced
+        pass
+
+    memos = []
+    real_rank_memo, real_alar = miner.rank_memo, miner.alar
+
+    def tracked_rank_memo(n, prev=None):
+        memo = Memo(real_rank_memo(n, prev))
+        memos.append(weakref.ref(memo))
+        return memo
+
+    def checked_alar(*args, **kwargs):
+        # memos[-1] is this level's, memos[-2] the previous one
+        assert [ref() is None for ref in memos[:-2]] == [True] * len(memos[:-2])
+        return real_alar(*args, **kwargs)
+
+    monkeypatch.setattr(miner, "rank_memo", tracked_rank_memo)
+    monkeypatch.setattr(miner, "alar", checked_alar)
+    series = TimeSeries(tuple(float(v) for v in range(30)))
+    found, _ = mine(series, MiningParams(delta=0, gamma=0, minsup=5, max_len=7), kind)
+    assert len(found) == 6  # lengths 2..7: six levels, five grown by alar
+    assert len(memos) == 6
+    assert memos[0]() is None
 
 
 class TestMineGolden:

@@ -10,6 +10,7 @@ from aopmine.errors import DataError
 from aopmine.report import (
     build_report,
     read_report,
+    report_to_payload,
     write_bench,
     write_report,
 )
@@ -77,6 +78,32 @@ class TestMiningReport:
         assert report.patterns[0].occurrences is None
         forced = build_report("big", "aop", sample_params, [huge], include_occurrences=True)
         assert forced.patterns[0].occurrences is not None
+
+    @pytest.mark.parametrize(
+        "case",
+        ["no patterns", "suppressed", "stats null", "name", "2047", "2048", "2049"],
+    )
+    def test_bytes_equal_json_dump(self, case, sample_report, sample_params, tmp_path):
+        # write_report streams the pattern list; the bytes must be exactly
+        # those of the standard encoder on the whole payload
+        stats = sample_report.stats
+        found = [FrequentPattern((1, 2), (1, 5, 9)), FrequentPattern((2, 1, 3), (4,))]
+        if case == "no patterns":
+            report = build_report("empty", "aop", sample_params, [], stats=stats)
+        elif case == "suppressed":
+            report = build_report("x", "em", sample_params, found, stats, include_occurrences=False)
+        elif case == "stats null":
+            report = build_report("x", "aop", sample_params, found, stats=None)
+        elif case == "name":
+            report = build_report('é "quoted" \\ \u2603', "aop", sample_params, found, stats)
+        else:
+            long = FrequentPattern((1, 2, 3), tuple(range(3, 3 + int(case))))
+            report = build_report("long", "aop", sample_params, [long, *found], stats)
+        path = tmp_path / "out.json"
+        write_report(report, path)
+        expected = json.dumps(report_to_payload(report), indent=2) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+        assert read_report(path) == report
 
     def test_unwritable_path(self, sample_report, tmp_path):
         with pytest.raises(DataError, match="cannot write report"):

@@ -19,10 +19,11 @@ from typing import Any, Sequence
 
 from . import __version__
 from .errors import ConfigError, DataError
-from .ingest import _convert_column, build_run_config, load_series, parse_config
+from .ingest import _CONFIG_KEYS, RunConfig, _convert_column
+from .ingest import build_run_config, load_series, parse_config
 from .miner import ALGORITHMS, ORACLE_MAX_LEN, FrequentPattern, mine
 from .oracle import oracle_mine
-from .report import build_report, write_bench, write_report
+from .report import bench_table, build_report, write_bench, write_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="series file to read")
     p.add_argument("--format", choices=("plain", "csv"), help="series file format (default: by suffix)")
-    p.add_argument("--column", help="csv column name or 0-based index (default 0)")
+    p.add_argument(
+        "--column", type=_convert_column, help="csv column name or 0-based index (default 0)"
+    )
     p.add_argument("--delta", type=int, help="per-position rank error bound (default 0)")
     p.add_argument("--gamma", type=int, help="total rank error bound (default 0)")
     p.add_argument("--minsup", type=int, help="absolute occurrence-count threshold (required)")
@@ -117,33 +120,32 @@ def _thread_count(raw: str) -> int:
 
 
 def _collect_values(args: argparse.Namespace) -> dict[str, Any]:
+    """Config-file values overridden by every flag given; each flag's dest is
+    its config key."""
     values = parse_config(args.config) if args.config else {}
-    overrides = {
-        "input": args.input,
-        "format": args.format,
-        "column": None if args.column is None else _convert_column(args.column),
-        "delta": args.delta,
-        "gamma": args.gamma,
-        "minsup": args.minsup,
-        "max_length": args.max_length,
-        "algorithm": getattr(args, "algorithm", None),
-        "output": getattr(args, "output", None),
-        "occurrences": getattr(args, "occurrences", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
+    for key in _CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     return values
 
 
-def _resolve_output(explicit: Path | None, name: str, suffix: str) -> Path:
-    if explicit is not None:
-        return explicit
-    return Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / f"{name}.{suffix}"
+def _resolve_output(config: RunConfig, suffix: str, config_path: str | None) -> Path:
+    """The command's one output path, refused when it is the series file or
+    the config file, so a run never overwrites what it reads."""
+    spec = config.dataset
+    path = config.output
+    if path is None:
+        name = spec.name or spec.path.stem
+        path = Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / f"{name}.{suffix}"
+    for source in filter(None, (spec.path, config_path)):
+        if path.exists() and Path(source).exists() and path.samefile(source):
+            raise ConfigError(f"output {path} is the input {source}; refusing to overwrite it")
+    return path
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
     config = build_run_config(_collect_values(args))
+    out_path = _resolve_output(config, "report.json", args.config)
     series = load_series(config.dataset)
     found, stats = mine(series, config.params, config.algorithm)
     report = build_report(
@@ -154,7 +156,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
         stats=stats if config.emit_stats else None,
         include_occurrences=config.emit_occurrences,
     )
-    out_path = _resolve_output(config.output, series.name or "series", "report.json")
     write_report(report, out_path)
     _print_pattern_summary(found)
     print(f"report: {out_path}")
@@ -172,6 +173,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"--repeat must be >= 1, got {args.repeat}")
 
     config = build_run_config(_collect_values(args))
+    out_path = _resolve_output(config, "bench.csv", args.config)
     series = load_series(config.dataset)
     rows = []
     outcomes: dict[str, tuple[FrequentPattern, ...]] = {}
@@ -196,16 +198,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    out_path = _resolve_output(config.output, series.name or "series", "bench.csv")
-    text_path = write_bench(rows, out_path)
-    for name, pattern_count, stats in rows:
-        print(
-            f"{name}: {pattern_count} patterns, "
-            f"{stats.total_candidates} candidates, "
-            f"{stats.matching_windows_tested} windows tested"
-        )
+    write_bench(rows, out_path)
+    print("\n".join(bench_table(rows)))
     print(f"bench: {out_path}")
-    print(f"table: {text_path}")
     return EXIT_MISMATCH if disagree else EXIT_OK
 
 

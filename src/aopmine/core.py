@@ -4,8 +4,7 @@ A window of numeric samples is reduced to its rank vector: each element's
 rank is one plus the number of strictly smaller elements in the same window.
 Two equal-length rank vectors are compared with a per-position bound (delta)
 and a total bound (gamma); a window "occurs" for a pattern when both bounds
-hold. Everything in this module is a pure function over immutable values and
-is safe to share across workers.
+hold. Everything in this module is a pure function over immutable values.
 """
 
 from __future__ import annotations

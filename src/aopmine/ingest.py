@@ -224,9 +224,6 @@ def build_run_config(values: dict[str, Any]) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    algorithm = values.get("algorithm") or "aop"
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     dataset = DatasetSpec(
         path=Path(values["input"]),
         format=values.get("format") or "",
@@ -237,7 +234,7 @@ def build_run_config(values: dict[str, Any]) -> RunConfig:
     return RunConfig(
         dataset=dataset,
         params=params,
-        algorithm=algorithm,
+        algorithm=values.get("algorithm") or "aop",
         output=Path(output) if output is not None else None,
         emit_occurrences=values.get("occurrences"),
         emit_stats=values.get("stats", True),

@@ -161,53 +161,54 @@ def _write_ints(fh: TextIO, values: Sequence[int]) -> None:
 
 
 def read_report(path: str | Path) -> MiningReport:
-    """Parse a report file back into the in-memory value it came from."""
+    """Parse a report file back into the in-memory value it came from.
+
+    A file that cannot be read, or does not hold a valid report, raises
+    DataError naming the file.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
+        params, stats = payload["params"], payload.get("stats")
+        return MiningReport(
+            dataset=payload["dataset"],
+            algorithm=payload["algorithm"],
+            params=MiningParams(
+                delta=params["delta"],
+                gamma=params["gamma"],
+                minsup=params["minsup"],
+                max_len=params["max_len"],
+            ),
+            patterns=tuple(
+                PatternEntry(
+                    ranks=tuple(item["ranks"]),
+                    support=item["support"],
+                    occurrences=tuple(item["occurrences"]) if "occurrences" in item else None,
+                )
+                for item in payload["patterns"]
+            ),
+            stats=MiningStats(
+                candidates_generated={
+                    int(k): v for k, v in stats["candidates_by_length"].items()
+                },
+                matching_windows_tested=stats["matching_windows_tested"],
+                patterns_pruned_by_count=stats["patterns_pruned_by_count"],
+            )
+            if stats is not None
+            else None,
+            tool_version=payload["tool_version"],
+        )
     except OSError as exc:
         raise DataError(f"cannot read report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not a valid report: {exc}") from exc
-    params = payload["params"]
-    stats = payload.get("stats")
-    return MiningReport(
-        dataset=payload["dataset"],
-        algorithm=payload["algorithm"],
-        params=MiningParams(
-            delta=params["delta"],
-            gamma=params["gamma"],
-            minsup=params["minsup"],
-            max_len=params["max_len"],
-        ),
-        patterns=tuple(
-            PatternEntry(
-                ranks=tuple(item["ranks"]),
-                support=item["support"],
-                occurrences=tuple(item["occurrences"]) if "occurrences" in item else None,
-            )
-            for item in payload["patterns"]
-        ),
-        stats=MiningStats(
-            candidates_generated={int(k): v for k, v in stats["candidates_by_length"].items()},
-            matching_windows_tested=stats["matching_windows_tested"],
-            patterns_pruned_by_count=stats["patterns_pruned_by_count"],
-        )
-        if stats is not None
-        else None,
-        tool_version=payload["tool_version"],
-    )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: not a valid report: {type(exc).__name__}: {exc}") from exc
 
 
-def write_bench(rows: Iterable[tuple[str, int, MiningStats]], path: str | Path) -> Path:
-    """Write the benchmark table as CSV plus an aligned text rendering.
+def write_bench(rows: Iterable[tuple[str, int, MiningStats]], path: str | Path) -> None:
+    """Write the benchmark table as CSV, one row per algorithm.
 
-    Each row is (algorithm, pattern count, that run's stats). The text file
-    lands next to the CSV with a ``.txt`` suffix and its path is returned.
-    Rows are expected to agree on what is frequent; differing pattern counts
-    are flagged in the text rendering.
+    Each row is (algorithm, pattern count, that run's stats).
     """
-    rows = list(rows)
     path = Path(path)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -218,15 +219,14 @@ def write_bench(rows: Iterable[tuple[str, int, MiningStats]], path: str | Path) 
     except OSError as exc:
         raise DataError(f"cannot write bench table {path}: {exc}") from exc
 
-    text_path = path.with_suffix(".txt")
-    lines = _render_text_table([list(BENCH_COLUMNS)] + [_bench_cells(*row) for row in rows])
-    if len({pattern_count for _, pattern_count, _ in rows}) > 1:
-        lines.append("WARNING: pattern counts differ across algorithms")
-    try:
-        text_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot write bench table {text_path}: {exc}") from exc
-    return text_path
+
+def bench_table(rows: Iterable[tuple[str, int, MiningStats]]) -> list[str]:
+    """The bench CSV's cells as aligned text lines: header, rule, one per row."""
+    cells = [list(BENCH_COLUMNS)] + [_bench_cells(*row) for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(BENCH_COLUMNS))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
+    lines.insert(1, "  ".join("-" * width for width in widths))
+    return lines
 
 
 def _bench_cells(algorithm: str, pattern_count: int, stats: MiningStats) -> list[str]:
@@ -242,13 +242,3 @@ def _bench_cells(algorithm: str, pattern_count: int, stats: MiningStats) -> list
         str(stats.patterns_pruned_by_count),
         f"{stats.wall_time:.6f}",
     ]
-
-
-def _render_text_table(cells: list[list[str]]) -> list[str]:
-    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
-    lines = []
-    for idx, row in enumerate(cells):
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-        if idx == 0:
-            lines.append("  ".join("-" * width for width in widths))
-    return lines

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shutil
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import aopmine
-from aopmine.cli import main
+from aopmine.cli import build_parser, main
+from aopmine.ingest import _CONFIG_KEYS
+from aopmine.report import BENCH_COLUMNS
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -24,6 +27,22 @@ def workdir(tmp_path, monkeypatch):
 
 
 MINE_FLAGS = ["--input", "sample16.txt", "--delta", "1", "--gamma", "2", "--minsup", "4"]
+
+# flags with no config key: they shape the command, not the run
+CLI_ONLY_DESTS = {"config", "threads", "algorithms", "repeat"}
+
+
+def subcommand_dests(command: str) -> set[str]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest for action in sub.choices[command]._actions if action.dest != "help"}
+
+
+def table_rows(out: str) -> dict[str, str]:
+    """The data lines of bench's stdout table, by algorithm."""
+    lines = out.splitlines()
+    assert lines[0].split() == list(BENCH_COLUMNS)
+    assert lines[-1].startswith("bench: ")
+    return {line.split()[0]: line for line in lines[2:-1]}
 
 
 class TestMineCommand:
@@ -66,13 +85,39 @@ class TestMineCommand:
         assert code == 0
 
     def test_config_plus_overrides_equals_full_flags(self, workdir):
-        (workdir / "run.conf").write_text(
-            "input = sample16.txt\ndelta = 0\ngamma = 2\nminsup = 4\n"
-        )
-        assert main(["mine", "--config", "run.conf", "--delta", "1",
-                     "--output", "merged.json"]) == 0
-        assert main(["mine", *MINE_FLAGS, "--output", "flagged.json"]) == 0
-        assert (workdir / "merged.json").read_bytes() == (workdir / "flagged.json").read_bytes()
+        # for every key that is both a flag and a config key: a config that is
+        # wrong on that key alone, plus that key's flag, gives the all-flags run
+        full = {"input": "sample16.csv", "format": "csv", "column": "close", "delta": "1",
+                "gamma": "2", "minsup": "4", "max_length": "4", "algorithm": "em",
+                "occurrences": "true", "output": "out.json"}
+        wrong = {"input": "other.txt", "format": "plain", "column": "0", "delta": "0",
+                 "gamma": "0", "minsup": "3", "max_length": "3", "algorithm": "aop",
+                 "occurrences": "false", "output": "wrong.json"}
+        assert set(full) == set(_CONFIG_KEYS) & subcommand_dests("mine")
+        (workdir / "other.txt").write_text("".join(f"{v % 5}\n" for v in range(20)))
+
+        def flags(values):
+            argv = []
+            for key, value in values.items():
+                flag = "--" + key.replace("_", "-")
+                argv += [flag] if key == "occurrences" else [flag, value]
+            return argv
+
+        assert main(["mine", *flags(full)]) == 0
+        expected = (workdir / "out.json").read_bytes()
+        for key in full:
+            (workdir / "out.json").unlink()
+            conf = {**full, key: wrong[key]}
+            (workdir / "run.conf").write_text("".join(f"{k} = {v}\n" for k, v in conf.items()))
+            assert main(["mine", "--config", "run.conf", *flags({key: full[key]})]) == 0, key
+            assert (workdir / "out.json").read_bytes() == expected, key
+        assert not (workdir / "wrong.json").exists()
+
+    @pytest.mark.parametrize("command", ["mine", "bench", "check"])
+    def test_every_flag_is_a_config_key_or_cli_only(self, command):
+        # run settings are copied from flags by config-key name: a flag with
+        # any other dest would be parsed and then silently dropped
+        assert subcommand_dests(command) - set(_CONFIG_KEYS) <= CLI_ONLY_DESTS
 
     def test_flag_order_is_irrelevant(self, workdir):
         shuffled = ["--minsup", "4", "--gamma", "2", "--input", "sample16.txt", "--delta", "1"]
@@ -145,15 +190,36 @@ class TestBenchCommand:
         code = main(["bench", *MINE_FLAGS, "--algorithms", "aop,em", "--output", "b.csv"])
         assert code == 0
         captured = capsys.readouterr()
-        assert "aop: 11 patterns" in captured.out
-        assert "em: 11 patterns" in captured.out
         assert "disagree" not in captured.err
         lines = (workdir / "b.csv").read_text().splitlines()
         assert len(lines) == 3
-        assert (workdir / "b.txt").exists()
         aop_cells = lines[1].split(",")
         em_cells = lines[2].split(",")
         assert int(aop_cells[3]) <= int(em_cells[3])  # total candidates
+        # stdout shows the CSV's rows as a table; no other file is written
+        table = table_rows(captured.out)
+        assert sorted(table) == ["aop", "em"]
+        for cells in (aop_cells, em_cells):
+            assert table[cells[0]].split()[1] == "11"
+            assert all(cell in table[cells[0]] for cell in cells)
+        assert captured.out.splitlines()[-1] == "bench: b.csv"
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "b.csv", "sample16.csv", "sample16.txt"
+        ]
+
+    @pytest.mark.parametrize("output", ["sample16.out", "b.txt"])
+    def test_output_file_holds_only_the_csv(self, workdir, output, capsys):
+        # a table file beside the CSV once overwrote the input (sample16.txt
+        # beside sample16.out) or the CSV itself (b.txt)
+        series = (workdir / "sample16.txt").read_bytes()
+        assert main(["bench", *MINE_FLAGS, "--algorithms", "aop", "--output", output]) == 0
+        capsys.readouterr()
+        assert (workdir / "sample16.txt").read_bytes() == series
+        lines = (workdir / output).read_text().splitlines()
+        assert lines[0] == ",".join(BENCH_COLUMNS) and len(lines) == 2
+        assert sorted(p.name for p in workdir.iterdir()) == sorted(
+            [output, "sample16.csv", "sample16.txt"]
+        )
 
     def test_disagreeing_occurrences_exit_3(self, workdir, monkeypatch, capsys):
         # same frequent set and counters, one occurrence fewer: still a mismatch
@@ -174,7 +240,7 @@ class TestBenchCommand:
         assert code == 3
         captured = capsys.readouterr()
         assert "em and aop disagree" in captured.err
-        assert "em: 11 patterns" in captured.out
+        assert table_rows(captured.out)["em"].split()[1] == "11"
 
     def test_repeat_flag(self, workdir):
         code = main(["bench", *MINE_FLAGS, "--algorithms", "aop", "--repeat", "3",
@@ -188,6 +254,53 @@ class TestBenchCommand:
     def test_bad_repeat_exits_1(self, workdir, capsys):
         assert main(["bench", *MINE_FLAGS, "--algorithms", "aop", "--repeat", "0"]) == 1
         capsys.readouterr()
+
+
+class TestOutputNeverAnInput:
+    """An output path that is a file the run reads exits 1, naming both
+    paths, before the series is loaded or anything is written."""
+
+    @pytest.mark.parametrize(
+        "argv, output, source",
+        [
+            (["mine", *MINE_FLAGS], "sample16.txt", "sample16.txt"),
+            (["mine", "--input", "{dir}/sample16.txt", "--minsup", "4"], "sample16.txt",
+             "{dir}/sample16.txt"),
+            (["mine", "--input", "link.txt", "--minsup", "4"], "sample16.txt", "link.txt"),
+            (["mine", "--input", "hard.txt", "--minsup", "4"], "sample16.txt", "hard.txt"),
+            (["mine", "--input", "sample16.txt", "--minsup", "4"], "link.txt", "sample16.txt"),
+            (["mine", "--config", "run.conf"], "run.conf", "run.conf"),
+            (["bench", *MINE_FLAGS, "--algorithms", "aop"], "sample16.txt", "sample16.txt"),
+            (["bench", "--config", "run.conf", "--algorithms", "aop"], "run.conf", "run.conf"),
+        ],
+        ids=["mine", "absolute", "input-symlink", "input-hardlink", "output-symlink",
+             "mine-config", "bench", "bench-config"],
+    )
+    def test_refused(self, workdir, monkeypatch, capsys, argv, output, source):
+        import aopmine.cli as cli
+
+        (workdir / "link.txt").symlink_to("sample16.txt")
+        os.link(workdir / "sample16.txt", workdir / "hard.txt")
+        (workdir / "run.conf").write_text("input = sample16.txt\nminsup = 4\n")
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+
+        def not_reached(spec):
+            raise AssertionError("load_series ran")
+
+        monkeypatch.setattr(cli, "load_series", not_reached)
+        argv = [arg.format(dir=workdir) for arg in argv]
+        assert main([*argv, "--output", output]) == 1
+        err = capsys.readouterr().err
+        assert f"output {output} is the input {source.format(dir=workdir)}" in err
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+    def test_default_output_named_like_the_input(self, workdir, monkeypatch, capsys):
+        monkeypatch.setenv("AOPMINE_OUTPUT_DIR", str(workdir))
+        (workdir / "s.report.json").write_bytes((workdir / "sample16.txt").read_bytes())
+        (workdir / "run.conf").write_text("input = s.report.json\nname = s\nminsup = 4\n")
+        assert main(["mine", "--config", "run.conf"]) == 1
+        assert "is the input s.report.json" in capsys.readouterr().err
+        assert (workdir / "s.report.json").read_bytes() == (workdir / "sample16.txt").read_bytes()
 
 
 class TestCheckCommand:

@@ -8,6 +8,8 @@ import pytest
 from aopmine import FrequentPattern, MiningStats, mine
 from aopmine.errors import DataError
 from aopmine.report import (
+    BENCH_COLUMNS,
+    bench_table,
     build_report,
     read_report,
     report_to_payload,
@@ -109,6 +111,23 @@ class TestMiningReport:
         with pytest.raises(DataError, match="cannot write report"):
             write_report(sample_report, tmp_path / "missing" / "out.json")
 
+    @pytest.mark.parametrize(
+        "case, problem",
+        [("no params", "KeyError"), ("list", "TypeError"), ("negative delta", "ValueError")],
+    )
+    def test_json_that_is_not_a_report(self, case, problem, sample_report, tmp_path):
+        payload = report_to_payload(sample_report)
+        if case == "no params":
+            payload = {"patterns": []}
+        elif case == "list":
+            payload = [payload]
+        else:
+            payload["params"]["delta"] = -1
+        path = tmp_path / "out.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=f"out.json: not a valid report: {problem}"):
+            read_report(path)
+
 
 class TestBenchTable:
     def fixture_rows(self):
@@ -128,23 +147,24 @@ class TestBenchTable:
         assert rows[1]["total_candidates"] == "8"
         assert rows[0]["candidates_by_length"] == "4:3"
 
-    def test_text_table_written(self, tmp_path):
-        path = tmp_path / "bench.csv"
-        text_path = write_bench(self.fixture_rows(), path)
-        assert text_path == tmp_path / "bench.txt"
-        text = text_path.read_text()
-        assert "algorithm" in text
-        assert "WARNING" not in text
+    def test_text_table(self, tmp_path):
+        lines = bench_table(self.fixture_rows())
+        assert lines[0].split() == list(BENCH_COLUMNS)
+        assert [line.split()[:4] for line in lines[2:]] == [
+            ["aop", "11", "4:3", "3"],
+            ["em", "11", "4:8", "8"],
+        ]
+        # each column starts where its rule segment does
+        rule = " " + lines[1]
+        starts = [i for i in range(len(lines[1])) if rule[i : i + 2] == " -"]
+        assert len(starts) == len(BENCH_COLUMNS)
+        for line in lines[:1] + lines[2:]:
+            assert all(line[i] != " " and line[i - 2 : i].strip() == "" for i in starts)
+        write_bench(self.fixture_rows(), tmp_path / "bench.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["bench.csv"]
 
-    def test_pattern_count_mismatch_is_flagged(self, tmp_path):
-        rows = self.fixture_rows()
-        rows[1] = ("em", 12, rows[1][2])
-        text_path = write_bench(rows, tmp_path / "bench.csv")
-        assert "WARNING: pattern counts differ" in text_path.read_text()
-
-    def test_single_row(self, tmp_path):
-        text_path = write_bench(self.fixture_rows()[:1], tmp_path / "bench.csv")
-        lines = text_path.read_text().splitlines()
+    def test_single_row(self):
+        lines = bench_table(self.fixture_rows()[:1])
         assert len(lines) == 3  # header, rule, one row
 
     def test_real_run_dominance(self, sample_series, sample_params, tmp_path):

@@ -15,14 +15,13 @@ import statistics
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Sequence, TextIO
 
 from . import __version__
 from .errors import ConfigError, DataError
 from .ingest import _CONFIG_KEYS, RunConfig, _convert_column
 from .ingest import build_run_config, load_series, parse_config
-from .miner import ALGORITHMS, ORACLE_MAX_LEN, FrequentPattern, mine
-from .oracle import oracle_mine
+from .miner import ALGORITHMS, FrequentPattern, mine
 from .report import bench_table, build_report, write_bench, write_report
 
 EXIT_OK = 0
@@ -46,9 +45,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -90,6 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_check)
     p_check.set_defaults(func=cmd_check)
 
+    # each command reads the config keys it has a flag for, plus the label
+    for p in sub.choices.values():
+        p.set_defaults(config_keys=_CONFIG_KEYS.keys() & {a.dest for a in p._actions} | {"name"})
     return parser
 
 
@@ -121,9 +120,12 @@ def _thread_count(raw: str) -> int:
 
 def _collect_values(args: argparse.Namespace) -> dict[str, Any]:
     """Config-file values overridden by every flag given; each flag's dest is
-    its config key."""
+    its config key. A file key the command does not use is refused."""
     values = parse_config(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
+    for key in values:
+        if key not in args.config_keys:
+            raise ConfigError(f"{args.config}: {args.command} does not use config key {key!r}")
+    for key in args.config_keys:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     return values
@@ -153,7 +155,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         algorithm=config.algorithm,
         params=config.params,
         patterns=found,
-        stats=stats if config.emit_stats else None,
+        stats=stats,
         include_occurrences=config.emit_occurrences,
     )
     write_report(report, out_path)
@@ -186,51 +188,45 @@ def cmd_bench(args: argparse.Namespace) -> int:
         stats.wall_time = statistics.fmean(times)
         rows.append((name, len(found), stats))
 
-    reference = _occurrence_map(outcomes[names[0]])
-    disagree = False
-    for name in names[1:]:
-        got = _occurrence_map(outcomes[name])
-        if got != reference:
-            disagree = True
-            print(
-                f"warning: {name} and {names[0]} disagree on the frequent patterns "
-                "or their occurrences",
-                file=sys.stderr,
-            )
+    agree = _compare(outcomes, sys.stderr)
 
     write_bench(rows, out_path)
     print("\n".join(bench_table(rows)))
     print(f"bench: {out_path}")
-    return EXIT_MISMATCH if disagree else EXIT_OK
+    return EXIT_OK if agree else EXIT_MISMATCH
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     values = _collect_values(args)
     values.setdefault("max_length", 5)
     config = build_run_config(values)
-    max_len = config.params.max_len
-    if max_len > ORACLE_MAX_LEN:
-        raise ConfigError(f"check needs --max-length <= {ORACLE_MAX_LEN} (exhaustive reference)")
     series = load_series(config.dataset)
-
-    mined, _ = mine(series, config.params, "aop")
-    reference = oracle_mine(series, config.params, max_len)
-    mined_map = _occurrence_map(mined)
-    reference_map = _occurrence_map(reference)
-
-    print(f"engine:    {len(mined_map)} patterns")
-    print(f"reference: {len(reference_map)} patterns")
-    if mined_map == reference_map:
-        print("verdict: MATCH")
-        return EXIT_OK
-
-    _print_diff(mined_map, reference_map)
-    print("verdict: MISMATCH")
-    return EXIT_MISMATCH
+    # the oracle first: it refuses an intractable max length before any mining
+    outcomes = {name: mine(series, config.params, name)[0] for name in ("oracle", "aop")}
+    for name, found in outcomes.items():
+        print(f"{name}: {len(found)} patterns")
+    agree = _compare(outcomes, sys.stdout)
+    print(f"verdict: {'MATCH' if agree else 'MISMATCH'}")
+    return EXIT_OK if agree else EXIT_MISMATCH
 
 
-def _occurrence_map(found: Sequence[FrequentPattern]) -> dict:
-    return {fp.pattern: fp.occurrences for fp in found}
+def _compare(outcomes: dict[str, Sequence[FrequentPattern]], out: TextIO) -> bool:
+    """Whether every strategy found the first one's patterns and occurrences;
+    each one that did not is named on ``out``, followed by the diff."""
+    (first, reference), *rest = [
+        (name, {fp.pattern: fp.occurrences for fp in found}) for name, found in outcomes.items()
+    ]
+    agree = True
+    for name, got in rest:
+        if got != reference:
+            agree = False
+            print(
+                f"warning: {name} and {first} disagree on the frequent patterns "
+                "or their occurrences",
+                file=out,
+            )
+            _print_diff(name, got, first, reference, out)
+    return agree
 
 
 def _print_pattern_summary(found: Sequence[FrequentPattern]) -> None:
@@ -240,20 +236,21 @@ def _print_pattern_summary(found: Sequence[FrequentPattern]) -> None:
         print(f"  length {length}: {by_length[length]}")
 
 
-def _print_diff(mined: dict, reference: dict, limit: int = 20) -> None:
-    """One line per pattern whose occurrence lists differ: supports, then the
-    positions found on one side only."""
+def _print_diff(a: str, a_map: dict, b: str, b_map: dict, out: TextIO, limit: int = 20) -> None:
+    """One line per pattern whose occurrence lists differ between strategies
+    ``a`` and ``b``: supports, then the positions found on one side only."""
     shown = 0
-    for pattern in sorted(set(mined) | set(reference), key=lambda p: (len(p), p)):
-        left, right = mined.get(pattern, ()), reference.get(pattern, ())
+    for pattern in sorted(set(a_map) | set(b_map), key=lambda p: (len(p), p)):
+        left, right = a_map.get(pattern, ()), b_map.get(pattern, ())
         if left == right:
             continue
         if shown == limit:
-            print("  ...")
+            print("  ...", file=out)
             break
         print(
-            f"  {pattern}: engine={len(left)} reference={len(right)}; "
-            f"engine only {sorted(set(left) - set(right))}, "
-            f"reference only {sorted(set(right) - set(left))}"
+            f"  {pattern}: {a}={len(left)} {b}={len(right)}; "
+            f"{a} only {sorted(set(left) - set(right))}, "
+            f"{b} only {sorted(set(right) - set(left))}",
+            file=out,
         )
         shown += 1

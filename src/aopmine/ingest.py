@@ -55,7 +55,6 @@ class RunConfig:
     algorithm: str = "aop"
     output: Path | None = None
     emit_occurrences: bool | None = None  # None applies the automatic size cutoff
-    emit_stats: bool = True
 
 
 def load_series(spec: DatasetSpec) -> TimeSeries:
@@ -171,7 +170,6 @@ _CONFIG_KEYS: dict[str, Callable[[str], Any]] = {
     "algorithm": _convert_algorithm,
     "output": str,
     "occurrences": _convert_bool,
-    "stats": _convert_bool,
 }
 
 
@@ -237,7 +235,6 @@ def build_run_config(values: dict[str, Any]) -> RunConfig:
         algorithm=values.get("algorithm") or "aop",
         output=Path(output) if output is not None else None,
         emit_occurrences=values.get("occurrences"),
-        emit_stats=values.get("stats", True),
     )
 
 

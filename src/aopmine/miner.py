@@ -224,14 +224,14 @@ def _fused_screened(level: Sequence[FrequentPattern], n: int) -> CandidateGroups
 
 def _extended_prefix(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
     """Enumeration candidates at their prefix parent's positions that still fit."""
-    for fp in sorted(level, key=lambda f: f.pattern):
+    for fp in level:
         last_start = n - len(fp.pattern)
         yield enumerate_extensions(fp.pattern), tuple(x for x in fp.occurrences if x <= last_start)
 
 
 def _extended_scan(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
     """Enumeration candidates at every window of their length."""
-    for fp in sorted(level, key=lambda f: f.pattern):
+    for fp in level:
         yield enumerate_extensions(fp.pattern), range(1, n - len(fp.pattern) + 1)
 
 
@@ -314,7 +314,7 @@ def mine(
             memo = rank_memo(n, memo)
             level = alar(level, series, params, stats, kind, memo)
     stats.wall_time = time.perf_counter() - start
-    return tuple(sorted(found, key=lambda fp: (len(fp.pattern), fp.pattern))), stats
+    return tuple(found), stats  # levels arrive in length order, each one sorted
 
 
 def _mine_oracle(

@@ -12,7 +12,8 @@ import pytest
 
 import aopmine
 from aopmine.cli import build_parser, main
-from aopmine.ingest import _CONFIG_KEYS
+from aopmine.core import MiningParams
+from aopmine.ingest import _CONFIG_KEYS, DatasetSpec, load_series
 from aopmine.report import BENCH_COLUMNS
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -124,6 +125,11 @@ class TestMineCommand:
         assert main(["mine", *shuffled, "--output", "a.json"]) == 0
         assert main(["mine", *MINE_FLAGS, "--output", "b.json"]) == 0
         assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
+
+    def test_oracle_without_max_length_exits_1(self, workdir, capsys):
+        assert main(["mine", *MINE_FLAGS, "--algorithm", "oracle", "--output", "r.json"]) == 1
+        assert "set max_len <= 7 (got None)" in capsys.readouterr().err
+        assert not (workdir / "r.json").exists()
 
     def test_threads_do_not_change_bytes(self, workdir):
         assert main(["mine", *MINE_FLAGS, "--threads", "1", "--output", "t1.json"]) == 0
@@ -240,6 +246,10 @@ class TestBenchCommand:
         assert code == 3
         captured = capsys.readouterr()
         assert "em and aop disagree" in captured.err
+        last = real_mine(load_series(DatasetSpec(workdir / "sample16.txt")),
+                         MiningParams(delta=1, gamma=2, minsup=4))[0][-1]
+        assert (f"  {last.pattern}: em={last.support - 1} aop={last.support}; em only [], "
+                f"aop only [{last.occurrences[-1]}]") in captured.err.splitlines()
         assert table_rows(captured.out)["em"].split()[1] == "11"
 
     def test_repeat_flag(self, workdir):
@@ -334,9 +344,11 @@ class TestCheckCommand:
 
         def lossy_mine(series, params, kind="aop"):
             found, stats = real_mine(series, params, kind)
-            last = found[-1]
-            dropped = aopmine.FrequentPattern(last.pattern, last.occurrences[1:])
-            return found[:-1] + (dropped,), stats
+            if kind == "aop":
+                last = found[-1]
+                dropped = aopmine.FrequentPattern(last.pattern, last.occurrences[1:])
+                found = found[:-1] + (dropped,)
+            return found, stats
 
         monkeypatch.setattr(cli, "mine", lossy_mine)
         (workdir / "tied.txt").write_text("".join(f"{v % 3}\n" for v in range(40)))
@@ -345,8 +357,70 @@ class TestCheckCommand:
         assert code == 3
         assert "verdict: MISMATCH" in capsys.readouterr().out
 
-    def test_max_length_cap(self, workdir, capsys):
+    def test_max_length_cap(self, workdir, monkeypatch, capsys):
+        # refused by the oracle, which runs first, before any mining
+        import aopmine.cli as cli
+
+        kinds = []
+        real_mine = cli.mine
+
+        def logged_mine(series, params, kind="aop"):
+            kinds.append(kind)
+            return real_mine(series, params, kind)
+
+        monkeypatch.setattr(cli, "mine", logged_mine)
         assert main(["check", *MINE_FLAGS, "--max-length", "9"]) == 1
+        assert "oracle intractable: set max_len <= 7 (got 9)" in capsys.readouterr().err
+        assert kinds == ["oracle"]
+
+
+class TestConfigKeysPerCommand:
+    """A config file may hold only the keys its command reads: those it has a
+    flag for, plus ``name``. Any other key exits 1, naming the file, the
+    command and the key, before the series is read."""
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["bench", "--algorithms", "aop"], "algorithm", "em"),
+            (["bench", "--algorithms", "aop"], "occurrences", "false"),
+            (["check"], "output", "x.json"),
+            (["check"], "algorithm", "em"),
+        ],
+        ids=["bench-algorithm", "bench-occurrences", "check-output", "check-algorithm"],
+    )
+    def test_unused_key_exits_1(self, workdir, monkeypatch, capsys, argv, key, value):
+        import aopmine.cli as cli
+
+        def not_reached(spec):
+            raise AssertionError("load_series ran")
+
+        monkeypatch.setattr(cli, "load_series", not_reached)
+        (workdir / "run.conf").write_text(f"input = sample16.txt\nminsup = 4\n{key} = {value}\n")
+        assert main([*argv, "--config", "run.conf"]) == 1
+        err = capsys.readouterr().err
+        assert f"run.conf: {argv[0]} does not use config key {key!r}" in err
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "run.conf", "sample16.csv", "sample16.txt"
+        ]
+
+    def test_mine_accepts_every_key(self, workdir, capsys):
+        values = {"input": "sample16.csv", "format": "csv", "column": "close", "name": "s",
+                  "delta": "1", "gamma": "2", "minsup": "4", "max_length": "4",
+                  "algorithm": "em", "occurrences": "true", "output": "out.json"}
+        assert set(values) == set(_CONFIG_KEYS)
+        (workdir / "run.conf").write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert main(["mine", "--config", "run.conf"]) == 0
+        assert json.loads((workdir / "out.json").read_text())["dataset"] == "s"
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv", [["mine"], ["bench", "--algorithms", "aop"], ["check", "--max-length", "4"]]
+    )
+    def test_every_command_accepts_name(self, workdir, monkeypatch, capsys, argv):
+        monkeypatch.setenv("AOPMINE_OUTPUT_DIR", str(workdir))
+        (workdir / "run.conf").write_text("input = sample16.txt\nminsup = 4\nname = s\n")
+        assert main([*argv, "--config", "run.conf"]) == 0
         capsys.readouterr()
 
 

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from aopmine.core import MiningParams, compute_ranks
 from aopmine.errors import ConfigError, DataError
 from aopmine.ingest import (
+    _CONFIG_KEYS,
     DatasetSpec,
     build_run_config,
     load_config,
@@ -165,6 +169,12 @@ class TestParseConfig:
         path.write_text("input = x.csv\ncolumn = 3\nminsup = 2\n")
         assert parse_config(path)["column"] == 3
 
+    def test_documented_keys_are_the_accepted_keys(self):
+        text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+        section = text.split("## Run configuration", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE)
+        assert sorted(documented) == sorted(_CONFIG_KEYS)
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("inptu = x.txt\n")
@@ -195,7 +205,6 @@ class TestBuildRunConfig:
         config = build_run_config({"input": "x.txt", "minsup": 4})
         assert config.params == MiningParams(delta=0, gamma=0, minsup=4)
         assert config.algorithm == "aop"
-        assert config.emit_stats is True
         assert config.emit_occurrences is None
 
     def test_missing_required_key_is_named(self):

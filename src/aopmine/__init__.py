@@ -10,6 +10,7 @@ the baseline strategies and a definitional reference miner for validation.
 __version__ = "0.1.0"
 
 from .core import (
+    FrequentPattern,
     MiningParams,
     OccurrenceSet,
     Pattern,
@@ -24,7 +25,6 @@ from .core import (
 )
 from .miner import (
     ALGORITHMS,
-    FrequentPattern,
     MiningStats,
     alar,
     checking,

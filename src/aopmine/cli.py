@@ -18,10 +18,11 @@ from pathlib import Path
 from typing import Any, Sequence, TextIO
 
 from . import __version__
+from .core import FrequentPattern
 from .errors import ConfigError, DataError
-from .ingest import _CONFIG_KEYS, RunConfig, _convert_column
+from .ingest import _CONFIG_KEYS, FORMATS, RunConfig, _convert_column
 from .ingest import build_run_config, load_series, parse_config
-from .miner import ALGORITHMS, FrequentPattern, mine
+from .miner import ALGORITHMS, mine
 from .report import bench_table, build_report, write_bench, write_report
 
 EXIT_OK = 0
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="series file to read")
-    p.add_argument("--format", choices=("plain", "csv"), help="series file format (default: by suffix)")
+    p.add_argument("--format", choices=FORMATS, help="series file format (default: by suffix)")
     p.add_argument(
         "--column", type=_convert_column, help="csv column name or 0-based index (default 0)"
     )
@@ -133,15 +134,17 @@ def _collect_values(args: argparse.Namespace) -> dict[str, Any]:
 
 def _resolve_output(config: RunConfig, suffix: str, config_path: str | None) -> Path:
     """The command's one output path, refused when it is the series file or
-    the config file, so a run never overwrites what it reads."""
+    the config file, so a run never overwrites what it reads, or when its
+    directory is missing, so a run never mines what it cannot write."""
     spec = config.dataset
     path = config.output
     if path is None:
-        name = spec.name or spec.path.stem
-        path = Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / f"{name}.{suffix}"
+        path = Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / f"{spec.name}.{suffix}"
     for source in filter(None, (spec.path, config_path)):
         if path.exists() and Path(source).exists() and path.samefile(source):
             raise ConfigError(f"output {path} is the input {source}; refusing to overwrite it")
+    if not path.parent.is_dir():
+        raise DataError(f"cannot write {path}: {path.parent} is not a directory")
     return path
 
 
@@ -151,7 +154,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     series = load_series(config.dataset)
     found, stats = mine(series, config.params, config.algorithm)
     report = build_report(
-        dataset=series.name or "series",
+        dataset=series.name,
         algorithm=config.algorithm,
         params=config.params,
         patterns=found,
@@ -177,18 +180,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = build_run_config(_collect_values(args))
     out_path = _resolve_output(config, "bench.csv", args.config)
     series = load_series(config.dataset)
-    rows = []
-    outcomes: dict[str, tuple[FrequentPattern, ...]] = {}
-    for name in names:
+    runs = {}
+    # the oracle first: it refuses an intractable max length before any mining
+    for name in sorted(dict.fromkeys(names), key=lambda name: name != "oracle"):
         times = []
         for _ in range(args.repeat):
             found, stats = mine(series, config.params, name)
             times.append(stats.wall_time)
-        outcomes[name] = found
         stats.wall_time = statistics.fmean(times)
-        rows.append((name, len(found), stats))
+        runs[name] = found, stats
+    rows = [(name, len(runs[name][0]), runs[name][1]) for name in names]
 
-    agree = _compare(outcomes, sys.stderr)
+    agree = _compare({name: runs[name][0] for name in names}, sys.stderr)
 
     write_bench(rows, out_path)
     print("\n".join(bench_table(rows)))

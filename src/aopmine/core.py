@@ -64,6 +64,18 @@ class MiningParams:
             raise ValueError(f"max_len must be a positive integer, got {self.max_len!r}")
 
 
+@dataclass(frozen=True)
+class FrequentPattern:
+    """A pattern together with its sorted 1-based occurrence positions."""
+
+    pattern: Pattern
+    occurrences: OccurrenceSet
+
+    @property
+    def support(self) -> int:
+        return len(self.occurrences)
+
+
 def compute_ranks(window: Sequence[float]) -> RankVector:
     """Rank vector of a window: rank_i = 1 + count of strictly smaller peers.
 

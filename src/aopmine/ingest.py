@@ -27,23 +27,23 @@ class DatasetSpec:
     """Where and how to read one series."""
 
     path: Path
-    format: str = ""  # "plain", "csv", or "" to infer from the suffix
+    format: str | None = None  # "plain" or "csv"; None: "csv" for a .csv suffix, else "plain"
     column: int | str | None = None  # csv only: column name or 0-based index
-    name: str | None = None
+    name: str | None = None  # series label; None or "": the file's stem
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "path", Path(self.path))
-        if self.format and self.format not in FORMATS:
+        path = Path(self.path)
+        object.__setattr__(self, "path", path)
+        if self.format is None:
+            object.__setattr__(self, "format", "csv" if path.suffix.lower() == ".csv" else "plain")
+        if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}; expected one of {FORMATS}")
+        if not self.name:
+            object.__setattr__(self, "name", path.stem)
         if isinstance(self.column, int) and self.column < 0:
             raise ConfigError(f"column index must be >= 0, got {self.column}")
-        if self.column is not None and self.resolved_format() == "plain":
-            raise ConfigError(f"column {self.column!r} given for plain-format input {self.path}")
-
-    def resolved_format(self) -> str:
-        if self.format:
-            return self.format
-        return "csv" if self.path.suffix.lower() == ".csv" else "plain"
+        if self.column is not None and self.format == "plain":
+            raise ConfigError(f"column {self.column!r} given for plain-format input {path}")
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,16 @@ def load_series(spec: DatasetSpec) -> TimeSeries:
     """Read one numeric series from disk, preserving sample order."""
     path = spec.path
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if spec.resolved_format() == "plain":
+    if spec.format == "plain":
         values = _parse_plain(text, path)
     else:
         values = _parse_csv(text, path, spec.column)
     if not values:
         raise DataError(f"{path}: empty series")
-    return TimeSeries(tuple(values), name=spec.name or path.stem)
+    return TimeSeries(tuple(values), name=spec.name)
 
 
 def _parse_plain(text: str, path: Path) -> list[float]:
@@ -181,7 +181,7 @@ def parse_config(path: str | Path) -> dict[str, Any]:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values: dict[str, Any] = {}
@@ -224,7 +224,7 @@ def build_run_config(values: dict[str, Any]) -> RunConfig:
         raise ConfigError(str(exc)) from None
     dataset = DatasetSpec(
         path=Path(values["input"]),
-        format=values.get("format") or "",
+        format=values.get("format"),
         column=values.get("column"),
         name=values.get("name"),
     )

@@ -28,29 +28,9 @@ from itertools import compress, repeat
 from operator import not_
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from .core import (
-    MiningParams,
-    OccurrenceSet,
-    Pattern,
-    TimeSeries,
-)
+from .core import FrequentPattern, MiningParams, OccurrenceSet, Pattern, TimeSeries
+from .oracle import oracle_mine
 from .patterns import enumerate_extensions, fuse, fusion_pairs
-
-ALGORITHMS = ("aop", "nopruning", "em", "scan_em", "oracle")
-
-ORACLE_MAX_LEN = 7
-
-
-@dataclass(frozen=True)
-class FrequentPattern:
-    """A pattern together with its sorted 1-based occurrence positions."""
-
-    pattern: Pattern
-    occurrences: OccurrenceSet
-
-    @property
-    def support(self) -> int:
-        return len(self.occurrences)
 
 
 @dataclass
@@ -243,6 +223,8 @@ STRATEGIES = {
     "scan_em": (_extended_scan, False),
 }
 
+ALGORITHMS = (*STRATEGIES, "oracle")
+
 
 def alar(
     level: Iterable[FrequentPattern],
@@ -320,13 +302,6 @@ def mine(
 def _mine_oracle(
     series: TimeSeries, params: MiningParams, stats: MiningStats
 ) -> tuple[FrequentPattern, ...]:
-    # imported lazily: the oracle module depends on this one for its types
-    from .oracle import oracle_mine
-
-    if params.max_len is None or params.max_len > ORACLE_MAX_LEN:
-        raise ValueError(
-            f"oracle intractable: set max_len <= {ORACLE_MAX_LEN} (got {params.max_len!r})"
-        )
     found = oracle_mine(series, params, params.max_len)
     n = len(series.values)
     for m in range(2, params.max_len + 1):

@@ -12,22 +12,22 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .core import MiningParams, Pattern, TimeSeries
-from .miner import ORACLE_MAX_LEN, FrequentPattern
+from .core import FrequentPattern, MiningParams, Pattern, TimeSeries
+
+ORACLE_MAX_LEN = 7
 
 
 def oracle_mine(
-    series: TimeSeries, params: MiningParams, max_len: int
+    series: TimeSeries, params: MiningParams, max_len: int | None
 ) -> tuple[FrequentPattern, ...]:
     """Every frequent pattern up to ``max_len``, by exhaustive enumeration.
 
     For each length m in 2..max_len, all m! permutations are tried against
     all windows; a pattern is kept when at least minsup windows fall within
     both distance bounds. Lengths are enumerated unconditionally (no early
-    stop), and ``max_len`` beyond 7 is refused as intractable.
+    stop), and ``max_len`` that is None or beyond 7 is refused as intractable.
     """
-    if max_len > ORACLE_MAX_LEN:
-        raise ValueError(f"oracle intractable: max_len {max_len} exceeds {ORACLE_MAX_LEN}")
+    _require_tractable(max_len)
     vals = series.values
     n = len(vals)
     found = []
@@ -46,7 +46,7 @@ def oracle_mine(
 
 
 def oracle_exact_opp(
-    series: TimeSeries, minsup: int, max_len: int
+    series: TimeSeries, minsup: int, max_len: int | None
 ) -> tuple[FrequentPattern, ...]:
     """Frequent patterns at delta = gamma = 0, by direct rank-vector equality.
 
@@ -54,8 +54,7 @@ def oracle_exact_opp(
     vector, so one pass per length tallies every support. Windows containing
     ties have non-permutation rank vectors and can never match.
     """
-    if max_len > ORACLE_MAX_LEN:
-        raise ValueError(f"oracle intractable: max_len {max_len} exceeds {ORACLE_MAX_LEN}")
+    _require_tractable(max_len)
     if minsup < 1:
         raise ValueError(f"minsup must be a positive integer, got {minsup!r}")
     vals = series.values
@@ -70,6 +69,12 @@ def oracle_exact_opp(
             if len(occs) >= minsup and sorted(ranks) == identity:
                 found.append(FrequentPattern(ranks, tuple(occs)))
     return tuple(sorted(found, key=lambda fp: (len(fp.pattern), fp.pattern)))
+
+
+def _require_tractable(max_len: int | None) -> None:
+    # each length m tries all m! patterns against every window
+    if max_len is None or max_len > ORACLE_MAX_LEN:
+        raise ValueError(f"oracle intractable: set max_len <= {ORACLE_MAX_LEN} (got {max_len!r})")
 
 
 def _ranks(window: tuple[float, ...]) -> tuple[int, ...]:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Sequence, TextIO
 
-from .core import MiningParams, OccurrenceSet, Pattern
+from . import __version__
+from .core import FrequentPattern, MiningParams, OccurrenceSet, Pattern
 from .errors import DataError
-from .miner import FrequentPattern, MiningStats
+from .miner import MiningStats
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -65,8 +66,6 @@ def build_report(
     ``include_occurrences=None`` applies the automatic cutoff: position lists
     are kept unless they total more than OCCURRENCE_EMIT_LIMIT.
     """
-    from aopmine import __version__
-
     if include_occurrences is None:
         include_occurrences = sum(fp.support for fp in patterns) <= OCCURRENCE_EMIT_LIMIT
     entries = tuple(
@@ -100,12 +99,7 @@ def report_to_payload(report: MiningReport) -> dict[str, Any]:
         "tool_version": report.tool_version,
         "dataset": report.dataset,
         "algorithm": report.algorithm,
-        "params": {
-            "delta": report.params.delta,
-            "gamma": report.params.gamma,
-            "minsup": report.params.minsup,
-            "max_len": report.params.max_len,
-        },
+        "params": asdict(report.params),
         "patterns": patterns,
         "stats": _stats_payload(report.stats) if report.stats is not None else None,
     }
@@ -173,12 +167,7 @@ def read_report(path: str | Path) -> MiningReport:
         return MiningReport(
             dataset=payload["dataset"],
             algorithm=payload["algorithm"],
-            params=MiningParams(
-                delta=params["delta"],
-                gamma=params["gamma"],
-                minsup=params["minsup"],
-                max_len=params["max_len"],
-            ),
+            params=MiningParams(**params),
             patterns=tuple(
                 PatternEntry(
                     ranks=tuple(item["ranks"]),

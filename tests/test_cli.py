@@ -266,6 +266,73 @@ class TestBenchCommand:
         capsys.readouterr()
 
 
+    def test_intractable_oracle_refused_before_any_mining(self, workdir, monkeypatch, capsys):
+        import aopmine.cli as cli
+
+        kinds = []
+        real_mine = cli.mine
+
+        def logged_mine(series, params, kind="aop"):
+            kinds.append(kind)
+            return real_mine(series, params, kind)
+
+        monkeypatch.setattr(cli, "mine", logged_mine)
+        argv = ["bench", *MINE_FLAGS, "--algorithms", "aop,em,oracle", "--max-length", "9"]
+        assert main(argv) == 1
+        assert "oracle intractable: set max_len <= 7 (got 9)" in capsys.readouterr().err
+        assert kinds == ["oracle"]
+        assert not (workdir / "sample16.bench.csv").exists()
+
+    def test_oracle_mined_first_rows_in_listed_order(self, workdir, monkeypatch, capsys):
+        import aopmine.cli as cli
+
+        kinds = []
+        real_mine = cli.mine
+
+        def logged_mine(series, params, kind="aop"):
+            kinds.append(kind)
+            return real_mine(series, params, kind)
+
+        monkeypatch.setattr(cli, "mine", logged_mine)
+        argv = ["bench", *MINE_FLAGS, "--algorithms", "aop,em,oracle", "--max-length", "4"]
+        assert main([*argv, "--output", "b.csv"]) == 0
+        assert kinds == ["oracle", "aop", "em"]
+        rows = (workdir / "b.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["aop", "em", "oracle"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[2:-1]] == ["aop", "em", "oracle"]
+
+
+class TestMissingOutputDirectory:
+    """An output path whose directory does not exist exits 2, naming the
+    path, before the series is loaded."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["mine", *MINE_FLAGS], ["bench", *MINE_FLAGS, "--algorithms", "aop"]],
+        ids=["mine", "bench"],
+    )
+    @pytest.mark.parametrize("given", ["env", "flag"])
+    def test_refused_before_reading(self, workdir, monkeypatch, capsys, argv, given):
+        import aopmine.cli as cli
+
+        def not_reached(spec):
+            raise AssertionError("load_series ran")
+
+        monkeypatch.setattr(cli, "load_series", not_reached)
+        missing = workdir / "nope"
+        if given == "env":
+            monkeypatch.setenv("AOPMINE_OUTPUT_DIR", str(missing))
+            suffix = "report.json" if argv[0] == "mine" else "bench.csv"
+            output = missing / f"sample16.{suffix}"
+        else:
+            output = missing / "out"
+            argv = [*argv, "--output", str(output)]
+        assert main(argv) == 2
+        assert f"cannot write {output}: {missing} is not a directory" in capsys.readouterr().err
+        assert not missing.exists()
+
+
 class TestOutputNeverAnInput:
     """An output path that is a file the run reads exits 1, naming both
     paths, before the series is loaded or anything is written."""

@@ -64,7 +64,19 @@ class TestLoadPlain:
         assert load_series(DatasetSpec(path, name="prices")).name == "prices"
 
 
+    def test_utf8_byte_order_mark(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one
+        path = tmp_path / "bom.txt"
+        path.write_text("\ufeff12\n15\n", encoding="utf-8")
+        assert load_series(DatasetSpec(path)).values == (12.0, 15.0)
+
+
 class TestLoadCsv:
+    def test_utf8_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffclose,vol\n12,1\n15,2\n", encoding="utf-8")
+        assert load_series(DatasetSpec(path, column="close")).values == (12.0, 15.0)
+
     def test_column_by_name(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("date,close\n2020-01-01,12\n2020-01-02,15\n")
@@ -141,7 +153,24 @@ class TestLoadCsv:
             DatasetSpec(tmp_path / "x.dat", format="parquet")
 
 
+class TestDatasetSpec:
+    def test_format_and_name_resolved_from_the_path(self):
+        spec = DatasetSpec("x.CSV")
+        assert (spec.path, spec.format, spec.name) == (Path("x.CSV"), "csv", "x")
+        assert (DatasetSpec("x.txt").format, DatasetSpec("x").format) == ("plain", "plain")
+
+    def test_explicit_format_and_name_kept(self):
+        spec = DatasetSpec("x.CSV", format="plain", name="prices")
+        assert (spec.format, spec.name) == ("plain", "prices")
+        assert DatasetSpec("x.txt", format="csv").format == "csv"
+
+
 class TestParseConfig:
+    def test_utf8_byte_order_mark(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("\ufeffminsup = 2\n", encoding="utf-8")
+        assert parse_config(path) == {"minsup": 2}
+
     def test_full_config(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text(

@@ -1,0 +1,50 @@
+"""Module structure: each rule is decided in one module.
+
+Every import sits at module level, so the import graph is visible and has no
+cycle hidden in a function body. The oracle imports only the core types, so
+it shares no mining code with the engine it checks.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import aopmine
+from aopmine.miner import ALGORITHMS, STRATEGIES
+
+PACKAGE = Path(aopmine.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_import_is_at_module_level(path):
+    tree = parse(path)
+    top = {id(node) for node in tree.body}
+    nested = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+    assert nested == [], f"{path.name} imports below module level at lines {nested}"
+
+
+def test_oracle_imports_only_core():
+    tree = parse(PACKAGE / "oracle.py")
+    imported = [
+        "." * node.level + (node.module or "")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+    ] + [alias.name for node in tree.body if isinstance(node, ast.Import) for alias in node.names]
+    own = [name for name in imported if name.startswith((".", "aopmine"))]
+    assert own == [".core"]
+
+
+def test_algorithms_are_the_strategies_then_oracle():
+    assert ALGORITHMS == (*STRATEGIES, "oracle")

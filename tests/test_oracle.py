@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from aopmine import (
     MiningParams,
     TimeSeries,
+    mine,
     oracle_exact_opp,
     oracle_mine,
     scan_occurrences,
@@ -37,6 +39,18 @@ class TestOracleMine:
             oracle_mine(sample_series, sample_params, 8)
         with pytest.raises(ValueError, match="oracle intractable"):
             oracle_exact_opp(sample_series, 2, 8)
+
+    @pytest.mark.parametrize("max_len", [None, 8])
+    def test_one_intractable_message(self, sample_series, max_len):
+        # every route to the oracle is refused by its one guard, unset length included
+        params = MiningParams(delta=1, gamma=2, minsup=4, max_len=max_len)
+        refused = re.escape(f"oracle intractable: set max_len <= 7 (got {max_len})")
+        with pytest.raises(ValueError, match=refused):
+            oracle_mine(sample_series, params, max_len)
+        with pytest.raises(ValueError, match=refused):
+            oracle_exact_opp(sample_series, 2, max_len)
+        with pytest.raises(ValueError, match=refused):
+            mine(sample_series, params, "oracle")
 
     def test_supports_match_independent_recount(self, sample_series, sample_params):
         for fp in oracle_mine(sample_series, sample_params, 5):

@@ -134,8 +134,9 @@ def _collect_values(args: argparse.Namespace) -> dict[str, Any]:
 
 def _resolve_output(config: RunConfig, suffix: str, config_path: str | None) -> Path:
     """The command's one output path, refused when it is the series file or
-    the config file, so a run never overwrites what it reads, or when its
-    directory is missing, so a run never mines what it cannot write."""
+    the config file, so a run never overwrites what it reads, or when it is
+    a directory or its directory is missing, so a run never mines what it
+    cannot write."""
     spec = config.dataset
     path = config.output
     if path is None:
@@ -145,6 +146,8 @@ def _resolve_output(config: RunConfig, suffix: str, config_path: str | None) -> 
             raise ConfigError(f"output {path} is the input {source}; refusing to overwrite it")
     if not path.parent.is_dir():
         raise DataError(f"cannot write {path}: {path.parent} is not a directory")
+    if path.is_dir():
+        raise DataError(f"cannot write {path}: it is a directory")
     return path
 
 

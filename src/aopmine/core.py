@@ -27,10 +27,9 @@ class TimeSeries:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValueError("non-finite sample")
+        vals = tuple(map(float, self.values))
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("non-finite sample")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:

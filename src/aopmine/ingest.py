@@ -74,6 +74,14 @@ def load_series(spec: DatasetSpec) -> TimeSeries:
 
 
 def _parse_plain(text: str, path: Path) -> list[float]:
+    try:
+        values = list(map(float, filter(None, map(str.strip, text.splitlines()))))
+    except ValueError:
+        pass
+    else:
+        if all(map(math.isfinite, values)):
+            return values
+    # a bad sample: parse line by line, so the error names its line
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         token = raw.strip()

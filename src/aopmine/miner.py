@@ -25,7 +25,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import not_
+from operator import gt, lt, not_, sub
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .core import FrequentPattern, MiningParams, OccurrenceSet, Pattern, TimeSeries
@@ -74,6 +74,7 @@ def matching(
     params: MiningParams,
     stats: MiningStats | None = None,
     ranks: list[Any] | None = None,
+    pair: tuple[Pattern, Pattern] | None = None,
 ) -> OccurrenceSet:
     """Filter candidate start positions down to true occurrences of ``t``.
 
@@ -88,6 +89,15 @@ def matching(
     minus its last sample fix its shape (docs/lemmas.md), so it is ranked
     directly only when that key is new or a ``prev`` slot is empty. Without
     a memo, a fresh one is used. The δ/γ test runs once per distinct shape.
+
+    ``pair`` is the fusion pair (p, q) that produced ``t``. Pass it only when
+    p occurs exactly at every candidate x and q exactly at x+1, as screening
+    exact occurrence lists guarantees; it is trusted only when δ = 0. Then a
+    window's shape is the pair's one child when p's head and q's tail
+    differ, and otherwise the child its end samples' order picks, none on a
+    tie (the exact corollary in docs/lemmas.md), so no window is ranked and
+    the memo is left alone. Without a pair, or with δ > 0, the memo path
+    above runs.
     """
     m = len(t)
     vals = series.values
@@ -96,6 +106,14 @@ def matching(
     if candidates and not 1 <= min(candidates) <= max(candidates) <= len(vals) - m + 1:
         bad = min(candidates) if min(candidates) < 1 else max(candidates)
         raise ValueError(f"candidate position {bad} out of range for window length {m}")
+    if stats is not None:
+        stats.matching_windows_tested += len(candidates)
+    if pair is not None and params.delta == 0:
+        if pair[0][0] != pair[1][-1]:  # the pair's one child is every window's shape
+            return tuple(candidates)
+        firsts = map(vals.__getitem__, map((-1).__add__, candidates))
+        lasts = map(vals.__getitem__, map((m - 2).__add__, candidates))
+        return tuple(compress(candidates, map(gt if t[0] > t[-1] else lt, firsts, lasts)))
     if ranks is None:
         ranks = rank_memo(len(vals))
     prev, composed = ranks[0]
@@ -124,8 +142,6 @@ def matching(
             total += gap
         else:
             fits[r] = total <= params.gamma
-    if stats is not None:
-        stats.matching_windows_tested += len(at)
     return tuple(compress(candidates, map(fits.__getitem__, at)))
 
 
@@ -174,48 +190,54 @@ def _confirm(
     params: MiningParams,
     stats: MiningStats,
     ranks: list[Any] | None,
+    pair: tuple[Pattern, Pattern] | None = None,
 ) -> list[FrequentPattern]:
     """The prune-and-match step for candidates that share candidate positions.
 
     With ``prune`` set and fewer than minsup positions, every child is counted
     as pruned and the series is not touched; otherwise each child is matched
-    at the positions and kept if it reaches minsup.
+    at the positions and kept if it reaches minsup. ``pair`` is the children's
+    fusion pair, when they have one (see ``matching``).
     """
     if prune and len(positions) < params.minsup:
         stats.patterns_pruned_by_count += len(children)
         return []
     found = []
     for t in children:
-        a_t = matching(positions, t, series, params, stats, ranks)
+        a_t = matching(positions, t, series, params, stats, ranks, pair)
         if len(a_t) >= params.minsup:
             found.append(FrequentPattern(t, a_t))
     return found
 
 
-CandidateGroups = Iterator[tuple[Sequence[Pattern], Sequence[int]]]
+CandidateGroups = Iterator[
+    tuple[Sequence[Pattern], Sequence[int], Optional[tuple[Pattern, Pattern]]]
+]
 
 
 def _fused_screened(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
     """Fusion candidates; each fusible pair's children share its screened list."""
     by_pattern = {fp.pattern: fp.occurrences for fp in level}
     for p, q in fusion_pairs(by_pattern):
-        yield fuse(p, q).produced, screen(by_pattern[p], by_pattern[q])
+        yield fuse(p, q).produced, screen(by_pattern[p], by_pattern[q]), (p, q)
 
 
 def _extended_prefix(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
     """Enumeration candidates at their prefix parent's positions that still fit."""
     for fp in level:
         last_start = n - len(fp.pattern)
-        yield enumerate_extensions(fp.pattern), tuple(x for x in fp.occurrences if x <= last_start)
+        fits = tuple(x for x in fp.occurrences if x <= last_start)
+        yield enumerate_extensions(fp.pattern), fits, None
 
 
 def _extended_scan(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
     """Enumeration candidates at every window of their length."""
     for fp in level:
-        yield enumerate_extensions(fp.pattern), range(1, n - len(fp.pattern) + 1)
+        yield enumerate_extensions(fp.pattern), range(1, n - len(fp.pattern) + 1), None
 
 
-# kind -> (candidates grouped with the positions they share, prune)
+# kind -> (candidates grouped with the positions they share and their fusion
+# pair, if any; prune)
 STRATEGIES = {
     "aop": (_fused_screened, True),
     "nopruning": (_fused_screened, False),
@@ -251,9 +273,9 @@ def alar(
     if ranks is None:
         ranks = rank_memo(n)
     found = []
-    for children, positions in groups(tuple(level), n):
+    for children, positions, pair in groups(tuple(level), n):
         stats.count_candidate(len(children[0]), len(children))
-        found.extend(_confirm(children, positions, prune, series, params, stats, ranks))
+        found.extend(_confirm(children, positions, prune, series, params, stats, ranks, pair))
     return tuple(sorted(found, key=lambda fp: fp.pattern))
 
 
@@ -282,11 +304,13 @@ def mine(
         n = len(series)
         level = ()
         if max_len is None or max_len >= 2:
-            # level 2 tests every window for both pair shapes, composed from the
-            # length-1 windows, whose shape is always (1,)
-            memo = rank_memo(n, [(None, {})] + [(1,)] * n)
+            # level 2 tests every window for both children of the length-1
+            # shape (1,) fused with itself
+            memo = _length2_memo(series.values)
             stats.count_candidate(2, 2)
-            level = _confirm(((1, 2), (2, 1)), range(1, n), False, series, params, stats, memo)
+            level = _confirm(
+                ((1, 2), (2, 1)), range(1, n), False, series, params, stats, memo, ((1,), (1,))
+            )
         while level:
             found.extend(level)
             if max_len is not None and len(level[0].pattern) >= max_len:
@@ -297,6 +321,17 @@ def mine(
             level = alar(level, series, params, stats, kind, memo)
     stats.wall_time = time.perf_counter() - start
     return tuple(found), stats  # levels arrive in length order, each one sorted
+
+
+def _length2_memo(vals: Sequence[float]) -> list[Any]:
+    """The filled rank memo of every length-2 window, for level 3 to compose
+    from: such a window's shape is the sign of its second sample minus its
+    first."""
+    later = vals[1:]
+    signs = map(sub, map(gt, later, vals), map(lt, later, vals))
+    memo = rank_memo(len(vals))
+    memo[1 : len(vals)] = map(((1, 1), (1, 2), (2, 1)).__getitem__, signs)
+    return memo
 
 
 def _mine_oracle(

@@ -150,7 +150,8 @@ def _write_ints(fh: TextIO, values: Sequence[int]) -> None:
     fh.write("[")
     for start in range(0, len(values), 2048):
         chunk = values[start : start + 2048]
-        fh.write(("," if start else "") + ",".join(map("\n        {}".format, chunk)))
+        fh.write(",\n        " if start else "\n        ")
+        fh.write(",\n        ".join(map(str, chunk)))
     fh.write("\n      ]" if values else "]")
 
 

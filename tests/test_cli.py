@@ -333,6 +333,29 @@ class TestMissingOutputDirectory:
         assert not missing.exists()
 
 
+class TestOutputIsADirectory:
+    """An --output that names an existing directory exits 2, naming the
+    path, before the series is loaded."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["mine", *MINE_FLAGS], ["bench", *MINE_FLAGS, "--algorithms", "aop"]],
+        ids=["mine", "bench"],
+    )
+    def test_refused_before_reading(self, workdir, monkeypatch, capsys, argv):
+        import aopmine.cli as cli
+
+        def not_reached(spec):
+            raise AssertionError("load_series ran")
+
+        monkeypatch.setattr(cli, "load_series", not_reached)
+        outdir = workdir / "outdir"
+        outdir.mkdir()
+        assert main([*argv, "--output", str(outdir)]) == 2
+        assert f"cannot write {outdir}: it is a directory" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+
 class TestOutputNeverAnInput:
     """An output path that is a file the run reads exits 1, naming both
     paths, before the series is loaded or anything is written."""

@@ -8,7 +8,10 @@ the same delta and gamma. The rank memo composes a window's shape from the
 shapes of those two shorter windows and the order of its first and last
 sample. Both lemmas (proved in docs/lemmas.md) are checked exhaustively at
 small sizes below, and every strategy is compared with the definitional
-reference on tied random inputs, where any divergence fails.
+reference on tied random inputs, where any divergence fails. So is the
+exact corollary that lets ``matching`` skip ranking at delta = 0: there a
+screened window's shape is one of its fusion pair's children, picked by the
+order of its end samples.
 """
 
 from __future__ import annotations
@@ -18,9 +21,13 @@ import random
 
 from aopmine import (
     MiningParams,
+    MiningStats,
     TimeSeries,
     compute_ranks,
+    fuse,
+    fusion_pairs,
     is_occurrence,
+    matching,
     mine,
     oracle_mine,
     prefixorder,
@@ -72,6 +79,89 @@ def test_composition_lemma_exhaustive():
             )
             shape = compute_ranks(window)
             assert shape_of.setdefault(key, shape) == shape, window
+
+
+def _pair_children(p, q):
+    # the length-1 pair that level 2 fuses has no prefix or suffix shape for
+    # fuse to check; its children are head-wins (2, 1) and tail-wins (1, 2)
+    return ((2, 1), (1, 2)) if p == (1,) else fuse(p, q).produced
+
+
+def test_exact_sign_lemma_exhaustive():
+    # every fusible pair (p, q) at m = 1..4 and every window of m + 1 samples
+    # over an (m + 1)-symbol alphabet, so every order, tied or tie-free: where
+    # p occurs exactly at the first m samples and q at the last m, the
+    # window's shape is p and q's one child when p's head and q's tail differ,
+    # and otherwise the child the end samples' order picks, or none on a tie
+    exact = MiningParams(delta=0, gamma=3, minsup=1)
+    for m in range(1, 5):
+        if m == 1:
+            pairs = {((1,), (1,))}
+        else:
+            pairs = set(fusion_pairs(itertools.permutations(range(1, m + 1))))
+        seen = set()
+        for window in itertools.product(range(m + 1), repeat=m + 1):
+            pair = (compute_ranks(window[:-1]), compute_ranks(window[1:]))
+            if pair not in pairs:
+                continue
+            seen.add(pair)
+            p, q = pair
+            children = _pair_children(p, q)
+            shape = compute_ranks(window)
+            first, last = window[0], window[-1]
+            if p[0] != q[-1]:
+                assert children == (shape,), window
+            elif first > last:
+                assert shape == children[0], window
+            elif first < last:
+                assert shape == children[1], window
+            else:
+                assert shape not in children, window
+            series = TimeSeries(window)
+            for t in children:
+                expected = (1,) if shape == t else ()
+                assert matching((1,), t, series, exact, pair=pair) == expected, (window, t)
+        assert seen == pairs, m
+
+
+def test_exact_sign_path_equals_general_path(monkeypatch):
+    # at delta = 0 each fusion pair's children are matched without ranking;
+    # each such call must return, and count, what the memo path does on the
+    # same candidates, and every strategy must still equal the reference
+    import aopmine.miner as miner
+
+    real_matching = miner.matching
+    paired = []
+
+    def both_paths(candidates, t, series, params, stats=None, ranks=None, pair=None):
+        found = real_matching(candidates, t, series, params, stats, ranks, pair)
+        if pair is not None:
+            paired.append(t)
+            signed, general = MiningStats(), MiningStats()
+            assert real_matching(candidates, t, series, params, signed, None, pair) == found
+            assert real_matching(candidates, t, series, params, general) == found, (t, pair)
+            assert signed == general
+        return found
+
+    monkeypatch.setattr(miner, "matching", both_paths)
+    rng = random.Random(987)
+    for i in range(24):
+        n = rng.randint(8, 80)
+        if i % 3 == 0:
+            series = random_series(rng, n)
+        elif i % 3 == 1:
+            series = random_series(rng, n, tie_free=False)
+        else:
+            series = TimeSeries(tuple(float(rng.randint(0, 2)) for _ in range(n)))
+        max_len = 6 if i % 2 else rng.randint(2, 5)
+        params = MiningParams(
+            delta=0, gamma=rng.choice((0, 3)), minsup=rng.choice((1, 2, 3)), max_len=max_len
+        )
+        reference = freq_map(oracle_mine(series, params, max_len))
+        for kind in MINERS:
+            found, _ = mine(series, params, kind)
+            assert freq_map(found) == reference, (i, kind, params)
+    assert set(map(len, paired)) == {2, 3, 4, 5, 6}  # every length took the sign path
 
 
 def test_tied_inputs_diagnostic():

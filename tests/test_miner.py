@@ -306,6 +306,24 @@ def test_level_memo_is_garbage_two_levels_on(kind, monkeypatch):
     assert memos[0]() is None
 
 
+def test_exact_em_composes_from_the_length_2_memo(monkeypatch):
+    # at delta = 0 level 2 is matched without ranking, but it must still
+    # leave every length-2 shape in the memo, so that em's level 3 composes
+    # its windows rather than sorting each one
+    import aopmine.miner as miner
+
+    sorts = []
+
+    def counted_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(miner, "sorted", counted_sorted, raising=False)
+    found, _ = mine(_gaussian_walk(1, 3000), MiningParams(delta=0, gamma=0, minsup=30), "em")
+    assert len(found) == 74
+    assert len(sorts) <= 402  # windows ranked directly, plus one sort per level
+
+
 class TestMineGolden:
     @pytest.mark.parametrize("kind", MINERS)
     def test_sample_series_full_output(self, kind, sample_series, sample_params):

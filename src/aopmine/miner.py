@@ -76,10 +76,12 @@ def matching(
     ranks: list[Any] | None = None,
     pair: tuple[Pattern, Pattern] | None = None,
 ) -> OccurrenceSet:
-    """Filter candidate start positions down to true occurrences of ``t``.
+    """Filter ascending candidate start positions down to true occurrences of ``t``.
 
-    Every candidate is charged to the matching-window counter. A candidate
-    whose window would run off the series is a caller bug and raises.
+    Every candidate is charged to the matching-window counter. Candidates
+    must be in ascending order, as screened lists, ranges and fitting prefix
+    positions are, so only the first and the last are checked: a window that
+    would run off the series is a caller bug and raises.
 
     ``ranks`` is a memo from ``rank_memo(len(series), prev)`` shared by every
     candidate of one pattern length m = ``len(t)``: slot x is ``None`` or the
@@ -96,23 +98,29 @@ def matching(
     window's shape is the pair's one child when p's head and q's tail
     differ, and otherwise the child its end samples' order picks, none on a
     tie (the exact corollary in docs/lemmas.md), so no window is ranked and
-    the memo is left alone. Without a pair, or with δ > 0, the memo path
-    above runs.
+    the memo is left alone. End samples of a ``range`` of candidates are
+    read as two slices of the series. Without a pair, or with δ > 0, the
+    memo path above runs.
     """
     m = len(t)
     vals = series.values
     if not isinstance(candidates, (tuple, list, range)):
         candidates = tuple(candidates)
-    if candidates and not 1 <= min(candidates) <= max(candidates) <= len(vals) - m + 1:
-        bad = min(candidates) if min(candidates) < 1 else max(candidates)
+    if candidates and not 1 <= candidates[0] <= candidates[-1] <= len(vals) - m + 1:
+        bad = candidates[0] if candidates[0] < 1 else candidates[-1]
         raise ValueError(f"candidate position {bad} out of range for window length {m}")
     if stats is not None:
         stats.matching_windows_tested += len(candidates)
     if pair is not None and params.delta == 0:
         if pair[0][0] != pair[1][-1]:  # the pair's one child is every window's shape
             return tuple(candidates)
-        firsts = map(vals.__getitem__, map((-1).__add__, candidates))
-        lasts = map(vals.__getitem__, map((m - 2).__add__, candidates))
+        if isinstance(candidates, range):
+            start, stop, step = candidates.start, candidates.stop, candidates.step
+            firsts = vals[start - 1 : stop - 1 : step]
+            lasts = vals[start + m - 2 : stop + m - 2 : step]
+        else:
+            firsts = map(vals.__getitem__, map((-1).__add__, candidates))
+            lasts = map(vals.__getitem__, map((m - 2).__add__, candidates))
         return tuple(compress(candidates, map(gt if t[0] > t[-1] else lt, firsts, lasts)))
     if ranks is None:
         ranks = rank_memo(len(vals))
@@ -145,19 +153,33 @@ def matching(
     return tuple(compress(candidates, map(fits.__getitem__, at)))
 
 
-def screen(a_p: OccurrenceSet, a_q: OccurrenceSet) -> OccurrenceSet:
+def screen(a_p: OccurrenceSet, a_q: OccurrenceSet | bytearray) -> OccurrenceSet:
     """Positions x in the first occurrence list with x+1 in the second.
 
     Both lists are sorted. The second is marked in a bytearray indexed by
     position and the first is probed against it, both in C; the series
-    itself is never consulted.
+    itself is never consulted. The second argument may instead be that
+    bytearray already marked, ``_mark(a_q, n)`` with n at least the last
+    position of ``a_p``, so that one mark serves every list probed against
+    the same ``a_q``.
     """
-    if not a_p or not a_q:
+    if not a_p:
         return ()
-    marked = bytearray(max(a_p[-1], a_q[-1]) + 2)
-    deque(map(marked.__setitem__, a_q, repeat(1)), maxlen=0)
-    del marked[0]  # now slot x is set when x + 1 is in a_q
+    if isinstance(a_q, bytearray):
+        marked = a_q
+    elif not a_q:
+        return ()
+    else:
+        marked = _mark(a_q, max(a_p[-1], a_q[-1]))
     return tuple(compress(a_p, map(marked.__getitem__, a_p)))
+
+
+def _mark(a_q: OccurrenceSet, n: int) -> bytearray:
+    """Slots 0..n of a bytearray, slot x set when x + 1 is in ``a_q``."""
+    marked = bytearray(n + 2)
+    deque(map(marked.__setitem__, a_q, repeat(1)), maxlen=0)
+    del marked[0]
+    return marked
 
 
 def checking(
@@ -216,10 +238,19 @@ CandidateGroups = Iterator[
 
 
 def _fused_screened(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
-    """Fusion candidates; each fusible pair's children share its screened list."""
+    """Fusion candidates; each fusible pair's children share its screened list.
+
+    The pairs are taken grouped by their right-hand pattern q, whose
+    occurrence list is marked once for every p screened against it.
+    """
     by_pattern = {fp.pattern: fp.occurrences for fp in level}
+    lefts: dict[Pattern, list[Pattern]] = {}
     for p, q in fusion_pairs(by_pattern):
-        yield fuse(p, q).produced, screen(by_pattern[p], by_pattern[q]), (p, q)
+        lefts.setdefault(q, []).append(p)
+    for q, ps in lefts.items():
+        marked = _mark(by_pattern[q], n)
+        for p in ps:
+            yield fuse(p, q).produced, screen(by_pattern[p], marked), (p, q)
 
 
 def _extended_prefix(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
@@ -305,8 +336,13 @@ def mine(
         level = ()
         if max_len is None or max_len >= 2:
             # level 2 tests every window for both children of the length-1
-            # shape (1,) fused with itself
-            memo = _length2_memo(series.values)
+            # shape (1,) fused with itself. At δ = 0 a fusion strategy matches
+            # every level by sign, so only δ > 0 or enumeration composes
+            # level 3 from the filled length-2 memo
+            if params.delta > 0 or STRATEGIES[kind][0] is not _fused_screened:
+                memo = _length2_memo(series.values)
+            else:
+                memo = rank_memo(n)
             stats.count_candidate(2, 2)
             level = _confirm(
                 ((1, 2), (2, 1)), range(1, n), False, series, params, stats, memo, ((1,), (1,))

@@ -13,6 +13,7 @@ from aopmine import (
     alar,
     checking,
     compute_ranks,
+    fuse,
     fusion_pairs,
     is_occurrence,
     matching,
@@ -20,7 +21,7 @@ from aopmine import (
     oracle_exact_opp,
     screen,
 )
-from aopmine.miner import rank_memo
+from aopmine.miner import _mark, rank_memo
 from conftest import SAMPLE_EXPECTED, SAMPLE_VALUES, freq_map, random_series, sample_frequent
 
 MINERS = ("aop", "nopruning", "em", "scan_em")
@@ -37,13 +38,13 @@ class TestScreen:
         assert screen((1, 2, 3), (2, 3, 4)) == (1, 2, 3)
 
     def test_empty_lists_and_boundary_positions(self):
-        assert screen((1, 2, 3), ()) == ()
-        assert screen((), ()) == ()
-        assert screen((1,), (2,)) == (1,)
-        assert screen((1,), (1,)) == ()
-        assert screen((5,), (6,)) == (5,)  # probes one past the larger last position
-        assert screen((6,), (5,)) == ()
-        assert screen((1, 49_999), (2, 50_000)) == (1, 49_999)
+        assert _screen_both((1, 2, 3), ()) == ()
+        assert _screen_both((), ()) == ()
+        assert _screen_both((1,), (2,)) == (1,)
+        assert _screen_both((1,), (1,)) == ()
+        assert _screen_both((5,), (6,)) == (5,)  # probes one past the larger last position
+        assert _screen_both((6,), (5,)) == ()
+        assert _screen_both((1, 49_999), (2, 50_000)) == (1, 49_999)
 
     def test_equals_sorted_merge_on_random_lists(self):
         rng = random.Random(17)
@@ -51,7 +52,14 @@ class TestScreen:
             n = rng.randint(1, 200)
             a_p = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
             a_q = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
-            assert screen(a_p, a_q) == _merge_screen(a_p, a_q), (a_p, a_q)
+            assert _screen_both(a_p, a_q) == _merge_screen(a_p, a_q), (a_p, a_q)
+
+
+def _screen_both(a_p, a_q):
+    """``screen`` given the second list, checked equal to ``screen`` given it pre-marked."""
+    got = screen(a_p, a_q)
+    assert screen(a_p, _mark(a_q, max(a_p[-1:] + a_q[-1:], default=0))) == got, (a_p, a_q)
+    return got
 
 
 def _merge_screen(a_p, a_q):
@@ -98,6 +106,35 @@ class TestMatching:
             matching((13,), (2, 3, 1, 5, 4), sample_series, sample_params, None, ranks)
         with pytest.raises(ValueError, match="out of range"):
             matching((0,), (2, 3, 1, 5, 4), sample_series, sample_params, None, ranks)
+
+    def test_ascending_candidates_are_checked_at_both_ends(self, sample_series, sample_params):
+        with pytest.raises(ValueError, match="position 13 out of range"):
+            matching((1, 6, 13), (2, 3, 1, 5, 4), sample_series, sample_params)
+        with pytest.raises(ValueError, match="position 0 out of range"):
+            matching(range(0, 5), (1, 2), sample_series, sample_params)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize(
+        "positions", [range(1, 59), range(5, 58), range(7, 50, 3), range(20, 20)]
+    )
+    @pytest.mark.parametrize(
+        "t, pair",
+        [
+            ((1, 2), ((1,), (1,))),
+            ((2, 1), ((1,), (1,))),
+            ((2, 3, 1), ((1, 2), (2, 1))),
+            ((1, 3, 2), ((1, 2), (2, 1))),
+        ],
+    )
+    def test_paired_sign_path_on_a_range_equals_the_same_positions(self, tied, positions, t, pair):
+        # a range's end samples are read as slices of the series, any other
+        # candidate sequence position by position
+        series = _three_symbols(3, 60) if tied else _gaussian_walk(3, 60)
+        params = MiningParams(delta=0, gamma=0, minsup=1)
+        from_range, from_tuple = MiningStats(), MiningStats()
+        got = matching(positions, t, series, params, from_range, None, pair)
+        assert got == matching(tuple(positions), t, series, params, from_tuple, None, pair)
+        assert from_range == from_tuple
 
     @pytest.mark.parametrize("tie_free", [True, False])
     @pytest.mark.parametrize("delta", [0, 1, 2])
@@ -270,6 +307,32 @@ class TestVariantSupport:
         pairs = list(fusion_pairs(fp.pattern for fp in level))
         assert len(calls) == len(pairs) < stats.total_candidates
 
+    @pytest.mark.parametrize("kind", ["aop", "nopruning"])
+    def test_each_right_hand_pattern_is_marked_once_per_level(self, kind, monkeypatch):
+        import aopmine.miner as miner
+
+        marked, levels = [], []
+        real_mark, real_alar = miner._mark, miner.alar
+
+        def counted_mark(a_q, n):
+            marked.append(a_q)
+            return real_mark(a_q, n)
+
+        def checked_alar(level, *args, **kwargs):
+            marked.clear()
+            grown = real_alar(level, *args, **kwargs)
+            by_pattern = {fp.pattern: fp.occurrences for fp in level}
+            pairs = list(fusion_pairs(by_pattern))
+            rights = {q for _, q in pairs}
+            assert sorted(map(id, marked)) == sorted(id(by_pattern[q]) for q in rights)
+            levels.append((len(rights), len(pairs)))
+            return grown
+
+        monkeypatch.setattr(miner, "_mark", counted_mark)
+        monkeypatch.setattr(miner, "alar", checked_alar)
+        mine(_gaussian_walk(3, 2000), MiningParams(delta=0, gamma=0, minsup=20), kind)
+        assert any(rights < pairs for rights, pairs in levels)  # some q serves several p
+
     def test_unknown_kind_rejected(self, sample_series, sample_params):
         with pytest.raises(ValueError, match="strategy"):
             alar([sample_frequent((1, 2, 3))], sample_series, sample_params, kind="oracle")
@@ -322,6 +385,20 @@ def test_exact_em_composes_from_the_length_2_memo(monkeypatch):
     found, _ = mine(_gaussian_walk(1, 3000), MiningParams(delta=0, gamma=0, minsup=30), "em")
     assert len(found) == 74
     assert len(sorts) <= 402  # windows ranked directly, plus one sort per level
+
+
+@pytest.mark.parametrize("kind", MINERS)
+@pytest.mark.parametrize("delta", [0, 1])
+def test_length_2_memo_is_filled_only_when_read(kind, delta, monkeypatch):
+    # exact fusion strategies match every level by sign; enumeration and
+    # delta > 0 compose level 3 from the filled length-2 memo
+    import aopmine.miner as miner
+
+    fills = []
+    real_fill = miner._length2_memo
+    monkeypatch.setattr(miner, "_length2_memo", lambda vals: fills.append(1) or real_fill(vals))
+    mine(_gaussian_walk(2, 200), MiningParams(delta=delta, gamma=delta, minsup=5), kind)
+    assert len(fills) == (delta > 0 or kind in ("em", "scan_em"))
 
 
 class TestMineGolden:
@@ -461,6 +538,30 @@ def test_pinned_frequent_set_and_counters(case, kind):
     assert stats.candidates_generated == by_length
     assert stats.matching_windows_tested == windows
     assert stats.patterns_pruned_by_count == pruned
+
+
+def _per_pair_screened(level, n):
+    """Reference fusion groups: every pair screened from both occurrence lists."""
+    by_pattern = {fp.pattern: fp.occurrences for fp in level}
+    for p, q in fusion_pairs(by_pattern):
+        yield fuse(p, q).produced, screen(by_pattern[p], by_pattern[q]), (p, q)
+
+
+@pytest.mark.parametrize("kind", ["aop", "nopruning"])
+@pytest.mark.parametrize("delta", [0, 1, 2])
+@pytest.mark.parametrize("tied", [False, True])
+def test_grouped_screening_equals_per_pair_screening(tied, delta, kind, monkeypatch):
+    # screening each q's marked list against every p of its group finds the
+    # same occurrences and counters as screening pair by pair
+    import aopmine.miner as miner
+
+    series = _three_symbols(delta, 300) if tied else _gaussian_walk(delta, 300)
+    params = MiningParams(delta=delta, gamma=2 * delta, minsup=6)
+    found, stats = mine(series, params, kind)
+    prune = miner.STRATEGIES[kind][1]
+    monkeypatch.setitem(miner.STRATEGIES, kind, (_per_pair_screened, prune))
+    assert mine(series, params, kind) == (found, stats)
+    assert len(stats.candidates_generated) > 2  # alar grew at least two levels
 
 
 class TestMineProperties:

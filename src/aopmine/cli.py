@@ -10,8 +10,8 @@ error, 3 verification mismatch (``check`` against the reference miner, or
 from __future__ import annotations
 
 import argparse
+import math
 import os
-import statistics
 import sys
 from collections import Counter
 from pathlib import Path
@@ -190,7 +190,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for _ in range(args.repeat):
             found, stats = mine(series, config.params, name)
             times.append(stats.wall_time)
-        stats.wall_time = statistics.fmean(times)
+        stats.wall_time = math.fsum(times) / len(times)
         runs[name] = found, stats
     rows = [(name, len(runs[name][0]), runs[name][1]) for name in names]
 

@@ -20,6 +20,7 @@ from .errors import ConfigError, DataError
 from .miner import ALGORITHMS
 
 FORMATS = ("plain", "csv")
+_BLOCK = 1 << 16  # characters of plain text parsed at a time
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,14 @@ def load_series(spec: DatasetSpec) -> TimeSeries:
 
 
 def _parse_plain(text: str, path: Path) -> list[float]:
+    # in blocks that end just after a "\n", so none cuts a line or a "\r\n"
+    values: list[float] = []
+    start = 0
     try:
-        values = list(map(float, filter(None, map(str.strip, text.splitlines()))))
+        while start < len(text):
+            stop = text.find("\n", start + _BLOCK) + 1 or len(text)
+            values += map(float, filter(None, map(str.strip, text[start:stop].splitlines())))
+            start = stop
     except ValueError:
         pass
     else:

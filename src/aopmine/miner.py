@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import gt, lt, not_, sub
+from functools import cache
+from itertools import compress, count, repeat
+from operator import getitem, gt, lt, not_, sub
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from .core import FrequentPattern, MiningParams, OccurrenceSet, Pattern, TimeSeries
+from .core import FrequentPattern, MiningParams, OccurrenceSet, Pattern, RankVector, TimeSeries
 from .oracle import oracle_mine
 from .patterns import enumerate_extensions, fuse, fusion_pairs
 
@@ -75,6 +76,7 @@ def matching(
     stats: MiningStats | None = None,
     ranks: list[Any] | None = None,
     pair: tuple[Pattern, Pattern] | None = None,
+    index: tuple[list[int], list[RankVector]] | None = None,
 ) -> OccurrenceSet:
     """Filter ascending candidate start positions down to true occurrences of ``t``.
 
@@ -90,7 +92,12 @@ def matching(
     length. A window's two length-(m-1) windows and the sign of its first
     minus its last sample fix its shape (docs/lemmas.md), so it is ranked
     directly only when that key is new or a ``prev`` slot is empty. Without
-    a memo, a fresh one is used. The δ/γ test runs once per distinct shape.
+    a memo, a fresh one is used.
+
+    ``index`` is ``_shape_index`` of these candidates, which the children of
+    one candidate group share (see ``_confirm``): each child then tests its
+    fit once per distinct shape, by cost table (docs/lemmas.md), and keeps
+    its candidates in one pass. Without an index, one is built from the memo.
 
     ``pair`` is the fusion pair (p, q) that produced ``t``. Pass it only when
     p occurs exactly at every candidate x and q exactly at x+1, as screening
@@ -106,9 +113,7 @@ def matching(
     vals = series.values
     if not isinstance(candidates, (tuple, list, range)):
         candidates = tuple(candidates)
-    if candidates and not 1 <= candidates[0] <= candidates[-1] <= len(vals) - m + 1:
-        bad = candidates[0] if candidates[0] < 1 else candidates[-1]
-        raise ValueError(f"candidate position {bad} out of range for window length {m}")
+    _require_windows(candidates, m, len(vals))
     if stats is not None:
         stats.matching_windows_tested += len(candidates)
     if pair is not None and params.delta == 0:
@@ -122,35 +127,58 @@ def matching(
             firsts = map(vals.__getitem__, map((-1).__add__, candidates))
             lasts = map(vals.__getitem__, map((m - 2).__add__, candidates))
         return tuple(compress(candidates, map(gt if t[0] > t[-1] else lt, firsts, lasts)))
+    ids, shapes = index if index is not None else _shape_index(candidates, m, vals, ranks)
+    rows = tuple(map(_cost_rows(m, params.delta, params.gamma).__getitem__, t))
+    fits = [sum(map(getitem, rows, r)) <= params.gamma for r in shapes]
+    return tuple(compress(candidates, map(fits.__getitem__, ids)))
+
+
+def _require_windows(candidates: Sequence[int], m: int, n: int) -> None:
+    """Raise unless ascending candidates start length-m windows of n samples."""
+    if candidates and not 1 <= candidates[0] <= candidates[-1] <= n - m + 1:
+        bad = candidates[0] if candidates[0] < 1 else candidates[-1]
+        raise ValueError(f"candidate position {bad} out of range for window length {m}")
+
+
+def _shape_index(
+    candidates: Sequence[int], m: int, vals: Sequence[float], ranks: list[Any] | None
+) -> tuple[list[int], list[RankVector]]:
+    """Each candidate's place in the list of distinct length-m window shapes
+    at the candidates, and that list. The memo (a fresh one if None) is read
+    once, and again only after its empty slots are filled (see ``matching``)."""
     if ranks is None:
         ranks = rank_memo(len(vals))
-    prev, composed = ranks[0]
-    for x in compress(candidates, map(not_, map(ranks.__getitem__, candidates))):
-        key = None
-        if prev is not None and prev[x] is not None and prev[x + 1] is not None:
-            first, last = vals[x - 1], vals[x + m - 2]
-            key = (prev[x], prev[x + 1], (first > last) - (first < last))
-        r = composed.get(key)
-        if r is None:  # no finiteness check: TimeSeries has rejected non-finite samples
-            window = vals[x - 1 : x - 1 + m]
-            ordered = sorted(window)
-            r = tuple([1 + bisect_left(ordered, v) for v in window])
-            r = composed.setdefault(r, r)
-            if key is not None:
-                composed[key] = r
-        ranks[x] = r
     at = list(map(ranks.__getitem__, candidates))
-    fits = dict.fromkeys(at, False)
-    for r in fits:
-        total = 0
-        for x, y in zip(r, t):
-            gap = x - y if x > y else y - x
-            if gap > params.delta:
-                break
-            total += gap
-        else:
-            fits[r] = total <= params.gamma
-    return tuple(compress(candidates, map(fits.__getitem__, at)))
+    if not all(at):
+        prev, composed = ranks[0]
+        for x in compress(candidates, map(not_, at)):
+            key = None
+            if prev is not None and prev[x] is not None and prev[x + 1] is not None:
+                first, last = vals[x - 1], vals[x + m - 2]
+                key = (prev[x], prev[x + 1], (first > last) - (first < last))
+            r = composed.get(key)
+            if r is None:  # no finiteness check: TimeSeries has rejected non-finite samples
+                window = vals[x - 1 : x - 1 + m]
+                ordered = sorted(window)
+                r = tuple([1 + bisect_left(ordered, v) for v in window])
+                r = composed.setdefault(r, r)
+                if key is not None:
+                    composed[key] = r
+            ranks[x] = r
+        at = list(map(ranks.__getitem__, candidates))
+    place = dict(zip(dict.fromkeys(at), count()))
+    return list(map(place.__getitem__, at)), list(place)
+
+
+@cache
+def _cost_rows(m: int, delta: int, gamma: int) -> tuple[tuple[int, ...], ...]:
+    """Row v: the fit cost of each rank 0..m against pattern entry v, the
+    gap |r - v| within δ and γ + 1 above it, so a window fits t under (δ, γ)
+    exactly when its costs against the rows of t sum to at most γ."""
+    return tuple(
+        tuple(abs(r - v) if abs(r - v) <= delta else gamma + 1 for r in range(m + 1))
+        for v in range(m + 1)
+    )
 
 
 def screen(a_p: OccurrenceSet, a_q: OccurrenceSet | bytearray) -> OccurrenceSet:
@@ -219,14 +247,19 @@ def _confirm(
     With ``prune`` set and fewer than minsup positions, every child is counted
     as pruned and the series is not touched; otherwise each child is matched
     at the positions and kept if it reaches minsup. ``pair`` is the children's
-    fusion pair, when they have one (see ``matching``).
+    fusion pair, when they have one (see ``matching``). Unless that pair lets
+    ``matching`` decide by sign, every child shares one ``_shape_index``.
     """
     if prune and len(positions) < params.minsup:
         stats.patterns_pruned_by_count += len(children)
         return []
+    index = None
+    if pair is None or params.delta > 0:
+        _require_windows(positions, len(children[0]), len(series))
+        index = _shape_index(positions, len(children[0]), series.values, ranks)
     found = []
     for t in children:
-        a_t = matching(positions, t, series, params, stats, ranks, pair)
+        a_t = matching(positions, t, series, params, stats, ranks, pair, index)
         if len(a_t) >= params.minsup:
             found.append(FrequentPattern(t, a_t))
     return found
@@ -256,8 +289,7 @@ def _fused_screened(level: Sequence[FrequentPattern], n: int) -> CandidateGroups
 def _extended_prefix(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
     """Enumeration candidates at their prefix parent's positions that still fit."""
     for fp in level:
-        last_start = n - len(fp.pattern)
-        fits = tuple(x for x in fp.occurrences if x <= last_start)
+        fits = fp.occurrences[: bisect_right(fp.occurrences, n - len(fp.pattern))]
         yield enumerate_extensions(fp.pattern), fits, None
 
 
@@ -292,19 +324,16 @@ def alar(
     ``kind`` picks a row of ``STRATEGIES``: how candidates are generated, at
     which positions they are tried, and whether too few positions prune them
     before matching. All candidates of the level share one window-rank memo,
-    ``ranks`` (a fresh one if None; ``mine`` chains each to the level before).
-    Output is sorted by rank vector.
+    ``ranks`` (``mine`` chains each to the level before; if None, each group
+    that reads shapes uses a fresh one). Output is sorted by rank vector.
     """
     if kind not in STRATEGIES:
         raise ValueError(f"no level-growth strategy {kind!r}; expected one of {tuple(STRATEGIES)}")
     if stats is None:
         stats = MiningStats()
     groups, prune = STRATEGIES[kind]
-    n = len(series)
-    if ranks is None:
-        ranks = rank_memo(n)
     found = []
-    for children, positions, pair in groups(tuple(level), n):
+    for children, positions, pair in groups(tuple(level), len(series)):
         stats.count_candidate(len(children[0]), len(children))
         found.extend(_confirm(children, positions, prune, series, params, stats, ranks, pair))
     return tuple(sorted(found, key=lambda fp: fp.pattern))
@@ -334,15 +363,14 @@ def mine(
         max_len = params.max_len
         n = len(series)
         level = ()
+        memo = None
         if max_len is None or max_len >= 2:
             # level 2 tests every window for both children of the length-1
             # shape (1,) fused with itself. At δ = 0 a fusion strategy matches
-            # every level by sign, so only δ > 0 or enumeration composes
-            # level 3 from the filled length-2 memo
+            # every level by sign and reads no memo, so only δ > 0 or
+            # enumeration keeps memos, composing level 3 from the length-2 one
             if params.delta > 0 or STRATEGIES[kind][0] is not _fused_screened:
                 memo = _length2_memo(series.values)
-            else:
-                memo = rank_memo(n)
             stats.count_candidate(2, 2)
             level = _confirm(
                 ((1, 2), (2, 1)), range(1, n), False, series, params, stats, memo, ((1,), (1,))
@@ -351,9 +379,10 @@ def mine(
             found.extend(level)
             if max_len is not None and len(level[0].pattern) >= max_len:
                 break
-            # unlink the memo two levels back, so at most two stay alive
-            memo[0] = (None, memo[0][1])
-            memo = rank_memo(n, memo)
+            if memo is not None:
+                # unlink the memo two levels back, so at most two stay alive
+                memo[0] = (None, memo[0][1])
+                memo = rank_memo(n, memo)
             level = alar(level, series, params, stats, kind, memo)
     stats.wall_time = time.perf_counter() - start
     return tuple(found), stats  # levels arrive in length order, each one sorted

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Pattern, RankVector, compute_ranks
+from .core import Pattern, RankVector
 
 
 @dataclass(frozen=True)
@@ -31,20 +31,21 @@ class FusionResult:
 def prefixorder(p: Pattern) -> RankVector:
     """Rank vector of the pattern with its last element dropped.
 
-    For a length-2 pattern the result is the degenerate vector ``(1,)``; it
-    is not a pattern itself but makes fusibility checks work from length 2
-    upward.
+    Dropping an element lowers exactly the ranks above it by one (the second
+    fact in docs/lemmas.md), so no sort is needed. For a length-2 pattern
+    the result is the degenerate vector ``(1,)``; it is not a pattern itself
+    but makes fusibility checks work from length 2 upward.
     """
     if len(p) < 2:
         raise ValueError(f"pattern too short for a prefix: {p!r}")
-    return compute_ranks(p[:-1])
+    return tuple([v - (v > p[-1]) for v in p[:-1]])
 
 
 def suffixorder(p: Pattern) -> RankVector:
     """Rank vector of the pattern with its first element dropped."""
     if len(p) < 2:
         raise ValueError(f"pattern too short for a suffix: {p!r}")
-    return compute_ranks(p[1:])
+    return tuple([v - (v > p[0]) for v in p[1:]])
 
 
 def fusible(p: Pattern, q: Pattern) -> bool:
@@ -73,13 +74,12 @@ def fuse(p: Pattern, q: Pattern) -> FusionResult:
     if not fusible(p, q):
         raise ValueError(f"patterns are not fusible: {p!r} and {q!r}")
     head, tail = p[0], q[-1]
-    head_wins = (head + 1,) + tuple(v + 1 if v > head else v for v in q)
-    tail_wins = tuple(v + 1 if v > tail else v for v in p) + (tail + 1,)
-    if head > tail:
-        return FusionResult((head_wins,), 1)
-    if head == tail:
-        return FusionResult((head_wins, tail_wins), 2)
-    return FusionResult((tail_wins,), 3)
+    produced = []
+    if head >= tail:
+        produced.append((head + 1, *[v + 1 if v > head else v for v in q]))
+    if head <= tail:
+        produced.append((*[v + 1 if v > tail else v for v in p], tail + 1))
+    return FusionResult(tuple(produced), 2 + (head < tail) - (head > tail))
 
 
 def enumerate_extensions(p: Pattern) -> tuple[Pattern, ...]:

@@ -133,8 +133,8 @@ def test_exact_sign_path_equals_general_path(monkeypatch):
     real_matching = miner.matching
     paired = []
 
-    def both_paths(candidates, t, series, params, stats=None, ranks=None, pair=None):
-        found = real_matching(candidates, t, series, params, stats, ranks, pair)
+    def both_paths(candidates, t, series, params, stats=None, ranks=None, pair=None, index=None):
+        found = real_matching(candidates, t, series, params, stats, ranks, pair, index)
         if pair is not None:
             paired.append(t)
             signed, general = MiningStats(), MiningStats()

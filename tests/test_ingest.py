@@ -8,6 +8,7 @@ import pytest
 from aopmine.core import MiningParams, compute_ranks
 from aopmine.errors import ConfigError, DataError
 from aopmine.ingest import (
+    _BLOCK,
     _CONFIG_KEYS,
     DatasetSpec,
     build_run_config,
@@ -69,6 +70,52 @@ class TestLoadPlain:
         path = tmp_path / "bom.txt"
         path.write_text("\ufeff12\n15\n", encoding="utf-8")
         assert load_series(DatasetSpec(path)).values == (12.0, 15.0)
+
+
+def _whole_text_parse(text: str) -> tuple[float, ...]:
+    return tuple(map(float, filter(None, map(str.strip, text.splitlines()))))
+
+
+def _lines(count: int, end: str) -> str:
+    return "".join(f"{i * 0.37 - 50:.4f}{end}" for i in range(count))
+
+
+class TestLoadPlainBlocks:
+    # plain text is parsed in blocks of about _BLOCK characters, each ending
+    # just after a newline; every input here spans several blocks and must
+    # parse exactly as the whole text does
+    @pytest.mark.parametrize("shift", range(4))
+    def test_crlf_at_a_cut(self, tmp_path, shift):
+        # "\r" lands on each side of the first block's end in turn
+        head = " " * (_BLOCK - 4 + shift) + "7\r\n"
+        text = head + _lines(3 * _BLOCK // 9, "\r\n")
+        path = tmp_path / "series.txt"
+        path.write_bytes(text.encode())
+        assert load_series(DatasetSpec(path)).values == _whole_text_parse(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _lines(_BLOCK // 4, "\n\n  \n"),  # blank lines
+            _lines(_BLOCK // 3, "\x0c") + _lines(_BLOCK // 3, "\u2028") + "5\n",
+            "\ufeff" + _lines(_BLOCK // 4, "\n"),  # a byte-order mark
+            _lines(_BLOCK // 4, "\n") + "12.5",  # no trailing newline
+        ],
+        ids=["blank-lines", "formfeed-and-line-separator", "bom", "no-trailing-newline"],
+    )
+    def test_equals_a_whole_text_parse(self, tmp_path, text):
+        path = tmp_path / "series.txt"
+        path.write_text(text, encoding="utf-8")
+        expected = _whole_text_parse(text.lstrip("\ufeff"))
+        assert len(text) > 2 * _BLOCK
+        assert load_series(DatasetSpec(path)).values == expected
+
+    def test_bad_sample_in_a_later_block_names_its_line(self, tmp_path):
+        count = 3 * _BLOCK // 9
+        path = tmp_path / "series.txt"
+        path.write_text(_lines(count, "\n") + "oops\n" + _lines(5, "\n"))
+        with pytest.raises(DataError, match=rf"series\.txt:{count + 1}: .*'oops'"):
+            load_series(DatasetSpec(path))
 
 
 class TestLoadCsv:

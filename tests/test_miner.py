@@ -13,8 +13,10 @@ from aopmine import (
     alar,
     checking,
     compute_ranks,
+    delta_distance,
     fuse,
     fusion_pairs,
+    gamma_distance,
     is_occurrence,
     matching,
     mine,
@@ -197,6 +199,63 @@ class TestMatching:
             prev = ranks
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_cost_table_fit_equals_both_distances(m):
+    # every rank vector of m samples, tied ones included, offered to matching
+    # as the distinct shapes of one index: candidate i has shape i
+    shapes = sorted({compute_ranks(w) for w in itertools.product(range(m), repeat=m)})
+    series = TimeSeries(tuple(map(float, range(len(shapes) + m))))
+    candidates = range(1, len(shapes) + 1)
+    index = (list(range(len(shapes))), shapes)
+    for t in itertools.permutations(range(1, m + 1)):
+        gaps = [(delta_distance(r, t), gamma_distance(r, t)) for r in shapes]
+        for delta in (0, 1, 2, 5):
+            for gamma in (0, 1, 2, 4, 8):
+                params = MiningParams(delta=delta, gamma=gamma, minsup=1)
+                got = matching(candidates, t, series, params, None, None, None, index)
+                fit = [d <= delta and g <= gamma for d, g in gaps]
+                assert got == tuple(itertools.compress(candidates, fit)), (t, delta, gamma)
+
+
+@pytest.mark.parametrize("kind", MINERS)
+@pytest.mark.parametrize("delta", [1, 2])
+@pytest.mark.parametrize("tied", [False, True])
+def test_children_share_one_shape_index_per_group(kind, delta, tied, monkeypatch):
+    # at delta > 0 each candidate group indexes its positions' shapes once;
+    # matching still runs once per child, at the group's own positions, and
+    # finds what it finds with no index, memo or pair
+    import aopmine.miner as miner
+
+    real_confirm, real_matching = miner._confirm, miner.matching
+    calls = []
+
+    def recorded_matching(candidates, t, series, params, stats=None, ranks=None, pair=None, index=None):
+        found = real_matching(candidates, t, series, params, stats, ranks, pair, index)
+        assert found == real_matching(candidates, t, series, params), t
+        calls.append((candidates, t, index))
+        return found
+
+    def checked_confirm(children, positions, prune, series, params, *rest):
+        calls.clear()
+        found = real_confirm(children, positions, prune, series, params, *rest)
+        if not (prune and len(positions) < params.minsup):
+            assert [t for _, t, _ in calls] == list(children)
+            assert all(candidates is positions for candidates, _, _ in calls)
+            indexes = {id(index) for _, _, index in calls}
+            assert len(indexes) == 1 and calls[0][2] is not None
+            groups.append(len(children))
+        return found
+
+    groups = []
+    monkeypatch.setattr(miner, "matching", recorded_matching)
+    monkeypatch.setattr(miner, "_confirm", checked_confirm)
+    n = 120 if kind == "scan_em" else 300
+    series = _three_symbols(delta, n) if tied else _gaussian_walk(delta, n)
+    found, _ = mine(series, MiningParams(delta=delta, gamma=2 * delta, minsup=6, max_len=6), kind)
+    assert max(map(len, (fp.pattern for fp in found))) >= 4
+    assert max(groups) > 1  # some group has several children
+
+
 class TestChecking:
     def test_pruned_before_matching(self, sample_series, sample_params):
         # three screened positions < minsup 4: pruned without a window test
@@ -341,7 +400,8 @@ class TestVariantSupport:
 @pytest.mark.parametrize("kind", MINERS)
 def test_level_memo_is_garbage_two_levels_on(kind, monkeypatch):
     # mine() chains each level's rank memo to the previous one; a level's
-    # memo must be freed by the time the level two further on is grown
+    # memo must be freed by the time the level two further on is grown.
+    # Exact fusion matches every level by sign and builds no memo at all
     import aopmine.miner as miner
 
     class Memo(list):  # a list subclass, so it can be weakly referenced
@@ -363,10 +423,16 @@ def test_level_memo_is_garbage_two_levels_on(kind, monkeypatch):
     monkeypatch.setattr(miner, "rank_memo", tracked_rank_memo)
     monkeypatch.setattr(miner, "alar", checked_alar)
     series = TimeSeries(tuple(float(v) for v in range(30)))
-    found, _ = mine(series, MiningParams(delta=0, gamma=0, minsup=5, max_len=7), kind)
-    assert len(found) == 6  # lengths 2..7: six levels, five grown by alar
-    assert len(memos) == 6
-    assert memos[0]() is None
+    for delta in (0, 1):
+        memos.clear()
+        found, _ = mine(series, MiningParams(delta=delta, gamma=delta, minsup=5, max_len=7), kind)
+        # lengths 2..7: six levels, five grown by alar
+        assert sorted({len(fp.pattern) for fp in found}) == [2, 3, 4, 5, 6, 7]
+        if delta == 0 and kind in ("aop", "nopruning"):
+            assert memos == []
+        else:
+            assert len(memos) == 6
+            assert memos[0]() is None
 
 
 def test_exact_em_composes_from_the_length_2_memo(monkeypatch):

@@ -8,6 +8,8 @@ it shares no mining code with the engine it checks.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,17 @@ def test_oracle_imports_only_core():
 
 def test_algorithms_are_the_strategies_then_oracle():
     assert ALGORITHMS == (*STRATEGIES, "oracle")
+
+
+def test_cli_import_leaves_out_the_numeric_tower():
+    # bench averages its run times with math.fsum; importing statistics would
+    # pull fractions, decimal and numbers into every command's memory
+    # (-S: without site, so only this package's imports are seen)
+    heavy = ("statistics", "fractions", "decimal", "numbers")
+    probe = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import aopmine.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from aopmine import (
+    compute_ranks,
     enumerate_extensions,
     enumeration_candidates,
     fuse,
@@ -110,6 +111,48 @@ class TestFuse:
                     produced.extend(fuse(p, q).produced)
         assert len(produced) == len(set(produced))
         assert set(produced) == set(itertools.permutations(range(1, m + 2)))
+
+
+def _sorting_fuse(p, q):
+    """Fusion as first written: shapes by ranking, both children built, then picked."""
+    if compute_ranks(p[1:]) != compute_ranks(q[:-1]):
+        raise ValueError("not fusible")
+    head, tail = p[0], q[-1]
+    head_wins = (head + 1,) + tuple(v + 1 if v > head else v for v in q)
+    tail_wins = tuple(v + 1 if v > tail else v for v in p) + (tail + 1,)
+    if head > tail:
+        return (head_wins,), 1
+    if head == tail:
+        return (head_wins, tail_wins), 2
+    return (tail_wins,), 3
+
+
+class TestShapesByArithmetic:
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_equal_ranking_the_slice(self, m):
+        for p in itertools.permutations(range(1, m + 1)):
+            assert prefixorder(p) == compute_ranks(p[:-1])
+            assert suffixorder(p) == compute_ranks(p[1:])
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_fuse_equals_the_sorting_construction(self, m):
+        # every pair fusible by ranked shapes, found by grouping on them
+        perms = list(itertools.permutations(range(1, m + 1)))
+        by_prefix = {}
+        for q in perms:
+            by_prefix.setdefault(compute_ranks(q[:-1]), []).append(q)
+        pairs = 0
+        for p in perms:
+            partners = by_prefix[compute_ranks(p[1:])]
+            for q in partners:
+                result = fuse(p, q)
+                assert (result.produced, result.case_tag) == _sorting_fuse(p, q)
+                pairs += 1
+            for q in perms[:: max(1, len(perms) // 40)]:  # a sample of the others
+                if q not in partners:
+                    with pytest.raises(ValueError, match="not fusible"):
+                        fuse(p, q)
+        assert pairs == len(perms) * m
 
 
 class TestEnumerateExtensions:

@@ -25,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 from operator import getitem, gt, lt, not_, sub
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
@@ -76,7 +76,7 @@ def matching(
     stats: MiningStats | None = None,
     ranks: list[Any] | None = None,
     pair: tuple[Pattern, Pattern] | None = None,
-    index: tuple[list[int], list[RankVector]] | None = None,
+    index: tuple[list[RankVector], list[RankVector]] | None = None,
 ) -> OccurrenceSet:
     """Filter ascending candidate start positions down to true occurrences of ``t``.
 
@@ -94,10 +94,11 @@ def matching(
     directly only when that key is new or a ``prev`` slot is empty. Without
     a memo, a fresh one is used.
 
-    ``index`` is ``_shape_index`` of these candidates, which the children of
-    one candidate group share (see ``_confirm``): each child then tests its
-    fit once per distinct shape, by cost table (docs/lemmas.md), and keeps
-    its candidates in one pass. Without an index, one is built from the memo.
+    ``index`` is ``_shape_index`` of these candidates (each one's shape, and
+    the distinct shapes), shared by the children of one candidate group (see
+    ``_confirm``): a child tests its fit once per distinct shape, by cost
+    table (docs/lemmas.md), and keeps its candidates in one pass. Without an
+    index, one is built from the memo.
 
     ``pair`` is the fusion pair (p, q) that produced ``t``. Pass it only when
     p occurs exactly at every candidate x and q exactly at x+1, as screening
@@ -127,10 +128,10 @@ def matching(
             firsts = map(vals.__getitem__, map((-1).__add__, candidates))
             lasts = map(vals.__getitem__, map((m - 2).__add__, candidates))
         return tuple(compress(candidates, map(gt if t[0] > t[-1] else lt, firsts, lasts)))
-    ids, shapes = index if index is not None else _shape_index(candidates, m, vals, ranks)
+    at, shapes = index if index is not None else _shape_index(candidates, m, vals, ranks)
     rows = tuple(map(_cost_rows(m, params.delta, params.gamma).__getitem__, t))
-    fits = [sum(map(getitem, rows, r)) <= params.gamma for r in shapes]
-    return tuple(compress(candidates, map(fits.__getitem__, ids)))
+    fits = dict(zip(shapes, [sum(map(getitem, rows, r)) <= params.gamma for r in shapes]))
+    return tuple(compress(candidates, map(fits.__getitem__, at)))
 
 
 def _require_windows(candidates: Sequence[int], m: int, n: int) -> None:
@@ -142,10 +143,9 @@ def _require_windows(candidates: Sequence[int], m: int, n: int) -> None:
 
 def _shape_index(
     candidates: Sequence[int], m: int, vals: Sequence[float], ranks: list[Any] | None
-) -> tuple[list[int], list[RankVector]]:
-    """Each candidate's place in the list of distinct length-m window shapes
-    at the candidates, and that list. The memo (a fresh one if None) is read
-    once, and again only after its empty slots are filled (see ``matching``)."""
+) -> tuple[list[RankVector], list[RankVector]]:
+    """The length-m window shape at each candidate, and the distinct ones; the
+    memo (fresh if None) is read once, and again after filling empty slots."""
     if ranks is None:
         ranks = rank_memo(len(vals))
     at = list(map(ranks.__getitem__, candidates))
@@ -166,8 +166,7 @@ def _shape_index(
                     composed[key] = r
             ranks[x] = r
         at = list(map(ranks.__getitem__, candidates))
-    place = dict(zip(dict.fromkeys(at), count()))
-    return list(map(place.__getitem__, at)), list(place)
+    return at, list(dict.fromkeys(at))
 
 
 @cache
@@ -324,14 +323,16 @@ def alar(
     ``kind`` picks a row of ``STRATEGIES``: how candidates are generated, at
     which positions they are tried, and whether too few positions prune them
     before matching. All candidates of the level share one window-rank memo,
-    ``ranks`` (``mine`` chains each to the level before; if None, each group
-    that reads shapes uses a fresh one). Output is sorted by rank vector.
+    ``ranks`` (``mine`` chains each to the level before; if None, one fresh
+    memo, none on exact fusion levels). Output is sorted by rank vector.
     """
     if kind not in STRATEGIES:
         raise ValueError(f"no level-growth strategy {kind!r}; expected one of {tuple(STRATEGIES)}")
     if stats is None:
         stats = MiningStats()
     groups, prune = STRATEGIES[kind]
+    if ranks is None and (params.delta > 0 or groups is not _fused_screened):
+        ranks = rank_memo(len(series))
     found = []
     for children, positions, pair in groups(tuple(level), len(series)):
         stats.count_candidate(len(children[0]), len(children))

@@ -31,10 +31,12 @@ class FusionResult:
 def prefixorder(p: Pattern) -> RankVector:
     """Rank vector of the pattern with its last element dropped.
 
-    Dropping an element lowers exactly the ranks above it by one (the second
-    fact in docs/lemmas.md), so no sort is needed. For a length-2 pattern
-    the result is the degenerate vector ``(1,)``; it is not a pattern itself
-    but makes fusibility checks work from length 2 upward.
+    ``p`` must be a rank vector as ``compute_ranks`` gives (ties allowed;
+    anything else gives a wrong result, unchecked): dropping an element then
+    lowers exactly the ranks above it by one (the second fact in
+    docs/lemmas.md), so no sort is needed. For a length-2 pattern the result
+    is the degenerate vector ``(1,)``; it is not a pattern itself but makes
+    fusibility checks work from length 2 upward.
     """
     if len(p) < 2:
         raise ValueError(f"pattern too short for a prefix: {p!r}")
@@ -42,7 +44,8 @@ def prefixorder(p: Pattern) -> RankVector:
 
 
 def suffixorder(p: Pattern) -> RankVector:
-    """Rank vector of the pattern with its first element dropped."""
+    """Rank vector of the pattern with its first element dropped; ``p`` must
+    be a rank vector, as for ``prefixorder``."""
     if len(p) < 2:
         raise ValueError(f"pattern too short for a suffix: {p!r}")
     return tuple([v - (v > p[0]) for v in p[1:]])

@@ -206,7 +206,7 @@ def test_cost_table_fit_equals_both_distances(m):
     shapes = sorted({compute_ranks(w) for w in itertools.product(range(m), repeat=m)})
     series = TimeSeries(tuple(map(float, range(len(shapes) + m))))
     candidates = range(1, len(shapes) + 1)
-    index = (list(range(len(shapes))), shapes)
+    index = (shapes, shapes)
     for t in itertools.permutations(range(1, m + 1)):
         gaps = [(delta_distance(r, t), gamma_distance(r, t)) for r in shapes]
         for delta in (0, 1, 2, 5):
@@ -428,6 +428,8 @@ def test_level_memo_is_garbage_two_levels_on(kind, monkeypatch):
         found, _ = mine(series, MiningParams(delta=delta, gamma=delta, minsup=5, max_len=7), kind)
         # lengths 2..7: six levels, five grown by alar
         assert sorted({len(fp.pattern) for fp in found}) == [2, 3, 4, 5, 6, 7]
+        if delta == 0:
+            assert len(found) == 6  # the one ascending shape of each length
         if delta == 0 and kind in ("aop", "nopruning"):
             assert memos == []
         else:
@@ -465,6 +467,32 @@ def test_length_2_memo_is_filled_only_when_read(kind, delta, monkeypatch):
     monkeypatch.setattr(miner, "_length2_memo", lambda vals: fills.append(1) or real_fill(vals))
     mine(_gaussian_walk(2, 200), MiningParams(delta=delta, gamma=delta, minsup=5), kind)
     assert len(fills) == (delta > 0 or kind in ("em", "scan_em"))
+
+
+@pytest.mark.parametrize("kind", MINERS)
+@pytest.mark.parametrize("delta", [0, 1])
+def test_alar_without_a_memo_makes_at_most_one(kind, delta, monkeypatch):
+    # a level grown with no memo given shares one fresh memo among all its
+    # candidate groups; exact fusion reads no shapes and makes none
+    import aopmine.miner as miner
+
+    made = []
+    real_rank_memo = miner.rank_memo
+
+    def counted_rank_memo(n, prev=None):
+        made.append(n)
+        return real_rank_memo(n, prev)
+
+    monkeypatch.setattr(miner, "rank_memo", counted_rank_memo)
+    series = _gaussian_walk(3, 200)
+    params = MiningParams(delta=delta, gamma=2 * delta, minsup=5)
+    found, _ = mine(series, MiningParams(delta=delta, gamma=2 * delta, minsup=5, max_len=3), kind)
+    level = [fp for fp in found if len(fp.pattern) == 3]
+    made.clear()
+    stats = MiningStats()
+    grown = alar(level, series, params, stats, kind)
+    assert grown and len(stats.candidates_generated) == 1
+    assert made == ([] if delta == 0 and kind in ("aop", "nopruning") else [len(series)])
 
 
 class TestMineGolden:

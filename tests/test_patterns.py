@@ -135,6 +135,13 @@ class TestShapesByArithmetic:
             assert suffixorder(p) == compute_ranks(p[1:])
 
     @pytest.mark.parametrize("m", range(2, 7))
+    def test_tied_rank_vectors_equal_ranking_the_slice(self, m):
+        for window in itertools.product(range(m), repeat=m):
+            r = compute_ranks(window)
+            assert prefixorder(r) == compute_ranks(window[:-1]), r
+            assert suffixorder(r) == compute_ranks(window[1:]), r
+
+    @pytest.mark.parametrize("m", range(2, 7))
     def test_fuse_equals_the_sorting_construction(self, m):
         # every pair fusible by ranked shapes, found by grouping on them
         perms = list(itertools.permutations(range(1, m + 1)))

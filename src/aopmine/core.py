@@ -53,13 +53,14 @@ class MiningParams:
     max_len: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.delta, int) or self.delta < 0:
+        # type(...) is int, not isinstance: bool subclasses int
+        if type(self.delta) is not int or self.delta < 0:
             raise ValueError(f"delta must be a non-negative integer, got {self.delta!r}")
-        if not isinstance(self.gamma, int) or self.gamma < 0:
+        if type(self.gamma) is not int or self.gamma < 0:
             raise ValueError(f"gamma must be a non-negative integer, got {self.gamma!r}")
-        if not isinstance(self.minsup, int) or self.minsup < 1:
+        if type(self.minsup) is not int or self.minsup < 1:
             raise ValueError(f"minsup must be a positive integer, got {self.minsup!r}")
-        if self.max_len is not None and (not isinstance(self.max_len, int) or self.max_len < 1):
+        if self.max_len is not None and (type(self.max_len) is not int or self.max_len < 1):
             raise ValueError(f"max_len must be a positive integer, got {self.max_len!r}")
 
 

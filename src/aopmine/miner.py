@@ -57,13 +57,13 @@ class MiningStats:
 
 
 def rank_memo(n: int, prev: list[Any] | None = None) -> list[Any]:
-    """An empty window-rank memo for ``matching`` over a series of n samples.
+    """An empty rank memo, for ``_shape_index``, of one window length over n samples.
 
     Slot x (1 <= x <= n) will hold the rank vector of the window starting at
     1-based position x. Slot 0 holds ``(prev, composed)``: ``prev`` is the
     memo of the windows one sample shorter (or None), and ``composed`` maps
-    each composition key (see ``matching``) and each ranked vector to one
-    shared tuple, which keeps a level's memo small.
+    each composition key (see ``_shape_index``) and each ranked vector to
+    one shared tuple, which keeps a level's memo small.
     """
     return [(prev, {})] + [None] * n
 
@@ -74,8 +74,7 @@ def matching(
     series: TimeSeries,
     params: MiningParams,
     stats: MiningStats | None = None,
-    ranks: list[Any] | None = None,
-    pair: tuple[Pattern, Pattern] | None = None,
+    screened: bool = False,
     index: tuple[list[RankVector], list[RankVector]] | None = None,
 ) -> OccurrenceSet:
     """Filter ascending candidate start positions down to true occurrences of ``t``.
@@ -85,30 +84,19 @@ def matching(
     positions are, so only the first and the last are checked: a window that
     would run off the series is a caller bug and raises.
 
-    ``ranks`` is a memo from ``rank_memo(len(series), prev)`` shared by every
-    candidate of one pattern length m = ``len(t)``: slot x is ``None`` or the
-    rank vector of the length-m window at 1-based start x, and ``prev`` slot
-    x that of the length-(m-1) window, so a memo is never reused for another
-    length. A window's two length-(m-1) windows and the sign of its first
-    minus its last sample fix its shape (docs/lemmas.md), so it is ranked
-    directly only when that key is new or a ``prev`` slot is empty. Without
-    a memo, a fresh one is used.
-
     ``index`` is ``_shape_index`` of these candidates (each one's shape, and
     the distinct shapes), shared by the children of one candidate group (see
     ``_confirm``): a child tests its fit once per distinct shape, by cost
     table (docs/lemmas.md), and keeps its candidates in one pass. Without an
-    index, one is built from the memo.
+    index, one is built from a fresh rank memo.
 
-    ``pair`` is the fusion pair (p, q) that produced ``t``. Pass it only when
-    p occurs exactly at every candidate x and q exactly at x+1, as screening
-    exact occurrence lists guarantees; it is trusted only when δ = 0. Then a
-    window's shape is the pair's one child when p's head and q's tail
-    differ, and otherwise the child its end samples' order picks, none on a
-    tie (the exact corollary in docs/lemmas.md), so no window is ranked and
-    the memo is left alone. End samples of a ``range`` of candidates are
-    read as two slices of the series. Without a pair, or with δ > 0, the
-    memo path above runs.
+    Set ``screened`` only when ``prefixorder(t)`` occurs exactly at every
+    candidate x and ``suffixorder(t)`` exactly at x+1, as screening exact
+    occurrence lists guarantees; it is trusted only when δ = 0. Then every
+    window's shape is t when |t_1 - t_m| != 1, and otherwise t exactly when
+    its end samples are ordered as t_1 and t_m are (the exact corollary in
+    docs/lemmas.md), so no window is ranked. End samples of a ``range`` of
+    candidates are read as two slices of the series.
     """
     m = len(t)
     vals = series.values
@@ -117,8 +105,8 @@ def matching(
     _require_windows(candidates, m, len(vals))
     if stats is not None:
         stats.matching_windows_tested += len(candidates)
-    if pair is not None and params.delta == 0:
-        if pair[0][0] != pair[1][-1]:  # the pair's one child is every window's shape
+    if screened and params.delta == 0:
+        if abs(t[0] - t[-1]) != 1:  # t is its parents' one child, so every window's shape
             return tuple(candidates)
         if isinstance(candidates, range):
             start, stop, step = candidates.start, candidates.stop, candidates.step
@@ -128,7 +116,7 @@ def matching(
             firsts = map(vals.__getitem__, map((-1).__add__, candidates))
             lasts = map(vals.__getitem__, map((m - 2).__add__, candidates))
         return tuple(compress(candidates, map(gt if t[0] > t[-1] else lt, firsts, lasts)))
-    at, shapes = index if index is not None else _shape_index(candidates, m, vals, ranks)
+    at, shapes = index or _shape_index(candidates, m, vals, rank_memo(len(vals)))
     rows = tuple(map(_cost_rows(m, params.delta, params.gamma).__getitem__, t))
     fits = dict(zip(shapes, [sum(map(getitem, rows, r)) <= params.gamma for r in shapes]))
     return tuple(compress(candidates, map(fits.__getitem__, at)))
@@ -142,12 +130,13 @@ def _require_windows(candidates: Sequence[int], m: int, n: int) -> None:
 
 
 def _shape_index(
-    candidates: Sequence[int], m: int, vals: Sequence[float], ranks: list[Any] | None
+    candidates: Sequence[int], m: int, vals: Sequence[float], ranks: list[Any]
 ) -> tuple[list[RankVector], list[RankVector]]:
-    """The length-m window shape at each candidate, and the distinct ones; the
-    memo (fresh if None) is read once, and again after filling empty slots."""
-    if ranks is None:
-        ranks = rank_memo(len(vals))
+    """The length-m window shape at each candidate, and the distinct ones, from
+    ``ranks``, the ``rank_memo`` of length m. An empty slot is composed from its
+    two length-(m-1) windows and the sign of its first minus its last sample
+    (docs/lemmas.md), and ranked only when that key is new or a ``prev`` slot
+    is empty. The memo is read once, and again after filling empty slots."""
     at = list(map(ranks.__getitem__, candidates))
     if not all(at):
         prev, composed = ranks[0]
@@ -216,18 +205,16 @@ def checking(
     series: TimeSeries,
     params: MiningParams,
     stats: MiningStats | None = None,
-    ranks: list[Any] | None = None,
 ) -> Optional[FrequentPattern]:
     """Decide whether the fused superpattern ``t`` is frequent.
 
     Candidate positions come from screening the parents' occurrence lists.
     If fewer than minsup survive, the pattern is pruned without touching the
-    series; otherwise matching confirms the survivors, through the level's
-    rank memo ``ranks`` when one is given.
+    series; otherwise matching confirms the survivors by their shapes.
     """
     if stats is None:
         stats = MiningStats()
-    found = _confirm((t,), screen(a_p, a_q), True, series, params, stats, ranks)
+    found = _confirm((t,), screen(a_p, a_q), True, series, params, stats, rank_memo(len(series)))
     return found[0] if found else None
 
 
@@ -239,34 +226,31 @@ def _confirm(
     params: MiningParams,
     stats: MiningStats,
     ranks: list[Any] | None,
-    pair: tuple[Pattern, Pattern] | None = None,
 ) -> list[FrequentPattern]:
     """The prune-and-match step for candidates that share candidate positions.
 
     With ``prune`` set and fewer than minsup positions, every child is counted
     as pruned and the series is not touched; otherwise each child is matched
-    at the positions and kept if it reaches minsup. ``pair`` is the children's
-    fusion pair, when they have one (see ``matching``). Unless that pair lets
-    ``matching`` decide by sign, every child shares one ``_shape_index``.
+    at the positions and kept if it reaches minsup. Given the level's memo
+    ``ranks``, the children share one ``_shape_index``; given none, the level
+    is exact fusion (``_reads_shapes``) and ``matching`` decides by sign.
     """
     if prune and len(positions) < params.minsup:
         stats.patterns_pruned_by_count += len(children)
         return []
     index = None
-    if pair is None or params.delta > 0:
+    if ranks is not None:
         _require_windows(positions, len(children[0]), len(series))
         index = _shape_index(positions, len(children[0]), series.values, ranks)
     found = []
     for t in children:
-        a_t = matching(positions, t, series, params, stats, ranks, pair, index)
+        a_t = matching(positions, t, series, params, stats, ranks is None, index)
         if len(a_t) >= params.minsup:
             found.append(FrequentPattern(t, a_t))
     return found
 
 
-CandidateGroups = Iterator[
-    tuple[Sequence[Pattern], Sequence[int], Optional[tuple[Pattern, Pattern]]]
-]
+CandidateGroups = Iterator[tuple[Sequence[Pattern], Sequence[int]]]
 
 
 def _fused_screened(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
@@ -282,24 +266,23 @@ def _fused_screened(level: Sequence[FrequentPattern], n: int) -> CandidateGroups
     for q, ps in lefts.items():
         marked = _mark(by_pattern[q], n)
         for p in ps:
-            yield fuse(p, q).produced, screen(by_pattern[p], marked), (p, q)
+            yield fuse(p, q).produced, screen(by_pattern[p], marked)
 
 
 def _extended_prefix(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
     """Enumeration candidates at their prefix parent's positions that still fit."""
     for fp in level:
         fits = fp.occurrences[: bisect_right(fp.occurrences, n - len(fp.pattern))]
-        yield enumerate_extensions(fp.pattern), fits, None
+        yield enumerate_extensions(fp.pattern), fits
 
 
 def _extended_scan(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
     """Enumeration candidates at every window of their length."""
     for fp in level:
-        yield enumerate_extensions(fp.pattern), range(1, n - len(fp.pattern) + 1), None
+        yield enumerate_extensions(fp.pattern), range(1, n - len(fp.pattern) + 1)
 
 
-# kind -> (candidates grouped with the positions they share and their fusion
-# pair, if any; prune)
+# kind -> (candidates grouped with the positions they share, prune)
 STRATEGIES = {
     "aop": (_fused_screened, True),
     "nopruning": (_fused_screened, False),
@@ -308,6 +291,13 @@ STRATEGIES = {
 }
 
 ALGORITHMS = (*STRATEGIES, "oracle")
+
+
+def _reads_shapes(kind: str, params: MiningParams) -> bool:
+    """Whether the levels of strategy ``kind`` match by window shape, through
+    a rank memo. Exact fusion levels are screened from exact parents and
+    matched by sign instead (the exact corollary in docs/lemmas.md)."""
+    return params.delta > 0 or STRATEGIES[kind][0] is not _fused_screened
 
 
 def alar(
@@ -331,12 +321,12 @@ def alar(
     if stats is None:
         stats = MiningStats()
     groups, prune = STRATEGIES[kind]
-    if ranks is None and (params.delta > 0 or groups is not _fused_screened):
+    if ranks is None and _reads_shapes(kind, params):
         ranks = rank_memo(len(series))
     found = []
-    for children, positions, pair in groups(tuple(level), len(series)):
+    for children, positions in groups(tuple(level), len(series)):
         stats.count_candidate(len(children[0]), len(children))
-        found.extend(_confirm(children, positions, prune, series, params, stats, ranks, pair))
+        found.extend(_confirm(children, positions, prune, series, params, stats, ranks))
     return tuple(sorted(found, key=lambda fp: fp.pattern))
 
 
@@ -366,16 +356,13 @@ def mine(
         level = ()
         memo = None
         if max_len is None or max_len >= 2:
-            # level 2 tests every window for both children of the length-1
-            # shape (1,) fused with itself. At δ = 0 a fusion strategy matches
-            # every level by sign and reads no memo, so only δ > 0 or
-            # enumeration keeps memos, composing level 3 from the length-2 one
-            if params.delta > 0 or STRATEGIES[kind][0] is not _fused_screened:
+            # level 2 tests every window for both length-2 shapes. A strategy
+            # that reads shapes composes level 3 from the filled length-2
+            # memo; the others match every level by sign and keep no memo
+            if _reads_shapes(kind, params):
                 memo = _length2_memo(series.values)
             stats.count_candidate(2, 2)
-            level = _confirm(
-                ((1, 2), (2, 1)), range(1, n), False, series, params, stats, memo, ((1,), (1,))
-            )
+            level = _confirm(((1, 2), (2, 1)), range(1, n), False, series, params, stats, memo)
         while level:
             found.extend(level)
             if max_len is not None and len(level[0].pattern) >= max_len:

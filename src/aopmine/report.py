@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, replace
+from operator import lt
 from pathlib import Path
 from typing import Any, Iterable, Sequence, TextIO
 
 from . import __version__
-from .core import FrequentPattern, MiningParams, OccurrenceSet, Pattern
+from .core import FrequentPattern, MiningParams, OccurrenceSet, Pattern, validate_pattern
 from .errors import DataError
 from .miner import MiningStats
 
@@ -158,25 +159,22 @@ def _write_ints(fh: TextIO, values: Sequence[int]) -> None:
 def read_report(path: str | Path) -> MiningReport:
     """Parse a report file back into the in-memory value it came from.
 
-    A file that cannot be read, or does not hold a valid report, raises
+    A file that cannot be read, or does not hold a report of this
+    REPORT_SCHEMA_VERSION that ``write_report`` could have written, raises
     DataError naming the file.
     """
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         params, stats = payload["params"], payload.get("stats")
+        version = payload.get("schema_version")
+        if version != REPORT_SCHEMA_VERSION:
+            raise ValueError(f"schema_version {version!r}, expected {REPORT_SCHEMA_VERSION}")
         return MiningReport(
             dataset=payload["dataset"],
             algorithm=payload["algorithm"],
             params=MiningParams(**params),
-            patterns=tuple(
-                PatternEntry(
-                    ranks=tuple(item["ranks"]),
-                    support=item["support"],
-                    occurrences=tuple(item["occurrences"]) if "occurrences" in item else None,
-                )
-                for item in payload["patterns"]
-            ),
+            patterns=tuple(map(_read_entry, payload["patterns"])),
             stats=MiningStats(
                 candidates_generated={
                     int(k): v for k, v in stats["candidates_by_length"].items()
@@ -192,6 +190,17 @@ def read_report(path: str | Path) -> MiningReport:
         raise DataError(f"cannot read report {path}: {exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: not a valid report: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_entry(item: dict[str, Any]) -> PatternEntry:
+    """One report entry; ValueError unless ``write_report`` could have written it."""
+    ranks, support = validate_pattern(item["ranks"]), item["support"]
+    occurrences = tuple(item["occurrences"]) if "occurrences" in item else None
+    if occurrences is not None and len(occurrences) != support:
+        raise ValueError(f"support {support!r} but {len(occurrences)} occurrences")
+    if occurrences is not None and not all(map(lt, (0, *occurrences), occurrences)):
+        raise ValueError(f"occurrences of {list(ranks)} not ascending positions from 1")
+    return PatternEntry(ranks, support, occurrences)
 
 
 def write_bench(rows: Iterable[tuple[str, int, MiningStats]], path: str | Path) -> None:

@@ -158,6 +158,10 @@ class TestTypes:
             dict(delta=0, gamma=-2, minsup=1),
             dict(delta=0, gamma=0, minsup=0),
             dict(delta=0, gamma=0, minsup=1, max_len=0),
+            dict(delta=True, gamma=0, minsup=1),
+            dict(delta=0, gamma=False, minsup=1),
+            dict(delta=0, gamma=0, minsup=True),
+            dict(delta=0, gamma=0, minsup=1, max_len=True),
         ],
     )
     def test_params_validation(self, kwargs):

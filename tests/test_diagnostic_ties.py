@@ -120,8 +120,27 @@ def test_exact_sign_lemma_exhaustive():
             series = TimeSeries(window)
             for t in children:
                 expected = (1,) if shape == t else ()
-                assert matching((1,), t, series, exact, pair=pair) == expected, (window, t)
+                assert matching((1,), t, series, exact, screened=True) == expected, (window, t)
         assert seen == pairs, m
+
+
+def test_every_fusion_child_knows_its_pair_and_its_tie():
+    # every child t of a fusible pair (p, q) up to length 7, and of level 2's
+    # (1,) fused with itself, has p = prefixorder(t) and q = suffixorder(t),
+    # and p's head equals q's tail exactly when t's end ranks are adjacent,
+    # so matching can pick the sign path from t alone
+    children = 0
+    for m in range(1, 8):
+        if m == 1:
+            pairs = [((1,), (1,))]
+        else:
+            pairs = fusion_pairs(itertools.permutations(range(1, m + 1)))
+        for p, q in pairs:
+            for t in _pair_children(p, q):
+                children += 1
+                assert (prefixorder(t), suffixorder(t)) == (p, q), (p, q, t)
+                assert (p[0] == q[-1]) == (abs(t[0] - t[-1]) == 1), (p, q, t)
+    assert children == 2 + 46_230  # level 2, then lengths 3 to 8
 
 
 def test_exact_sign_path_equals_general_path(monkeypatch):
@@ -133,13 +152,13 @@ def test_exact_sign_path_equals_general_path(monkeypatch):
     real_matching = miner.matching
     paired = []
 
-    def both_paths(candidates, t, series, params, stats=None, ranks=None, pair=None, index=None):
-        found = real_matching(candidates, t, series, params, stats, ranks, pair, index)
-        if pair is not None:
+    def both_paths(candidates, t, series, params, stats=None, screened=False, index=None):
+        found = real_matching(candidates, t, series, params, stats, screened, index)
+        if screened:
             paired.append(t)
             signed, general = MiningStats(), MiningStats()
-            assert real_matching(candidates, t, series, params, signed, None, pair) == found
-            assert real_matching(candidates, t, series, params, general) == found, (t, pair)
+            assert real_matching(candidates, t, series, params, signed, True) == found
+            assert real_matching(candidates, t, series, params, general) == found, t
             assert signed == general
         return found
 

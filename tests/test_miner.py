@@ -23,7 +23,7 @@ from aopmine import (
     oracle_exact_opp,
     screen,
 )
-from aopmine.miner import _mark, rank_memo
+from aopmine.miner import _confirm, _mark, _shape_index, rank_memo
 from conftest import SAMPLE_EXPECTED, SAMPLE_VALUES, freq_map, random_series, sample_frequent
 
 MINERS = ("aop", "nopruning", "em", "scan_em")
@@ -103,11 +103,14 @@ class TestMatching:
             matching((0,), (1, 2), sample_series, sample_params)
 
     def test_out_of_range_candidate_raises_with_a_memo(self, sample_series, sample_params):
+        # a level given a memo checks its positions before the memo is read
         ranks = rank_memo(len(sample_series))
-        with pytest.raises(ValueError, match="out of range"):
-            matching((13,), (2, 3, 1, 5, 4), sample_series, sample_params, None, ranks)
-        with pytest.raises(ValueError, match="out of range"):
-            matching((0,), (2, 3, 1, 5, 4), sample_series, sample_params, None, ranks)
+        for bad in ((13,), (0,)):
+            with pytest.raises(ValueError, match="out of range"):
+                _confirm(
+                    ((2, 3, 1, 5, 4),), bad, False, sample_series, sample_params, MiningStats(), ranks
+                )
+        assert ranks == rank_memo(len(sample_series))
 
     def test_ascending_candidates_are_checked_at_both_ends(self, sample_series, sample_params):
         with pytest.raises(ValueError, match="position 13 out of range"):
@@ -119,23 +122,16 @@ class TestMatching:
     @pytest.mark.parametrize(
         "positions", [range(1, 59), range(5, 58), range(7, 50, 3), range(20, 20)]
     )
-    @pytest.mark.parametrize(
-        "t, pair",
-        [
-            ((1, 2), ((1,), (1,))),
-            ((2, 1), ((1,), (1,))),
-            ((2, 3, 1), ((1, 2), (2, 1))),
-            ((1, 3, 2), ((1, 2), (2, 1))),
-        ],
-    )
-    def test_paired_sign_path_on_a_range_equals_the_same_positions(self, tied, positions, t, pair):
+    @pytest.mark.parametrize("t", [(1, 2), (2, 1), (2, 3, 1), (1, 3, 2)])
+    def test_paired_sign_path_on_a_range_equals_the_same_positions(self, tied, positions, t):
         # a range's end samples are read as slices of the series, any other
-        # candidate sequence position by position
+        # candidate sequence position by position; each t's end ranks are
+        # adjacent, so its parents have two children and the sign decides
         series = _three_symbols(3, 60) if tied else _gaussian_walk(3, 60)
         params = MiningParams(delta=0, gamma=0, minsup=1)
         from_range, from_tuple = MiningStats(), MiningStats()
-        got = matching(positions, t, series, params, from_range, None, pair)
-        assert got == matching(tuple(positions), t, series, params, from_tuple, None, pair)
+        got = matching(positions, t, series, params, from_range, screened=True)
+        assert got == matching(tuple(positions), t, series, params, from_tuple, screened=True)
         assert from_range == from_tuple
 
     @pytest.mark.parametrize("tie_free", [True, False])
@@ -157,7 +153,8 @@ class TestMatching:
             for t in itertools.permutations(range(1, m + 1)):
                 candidates = sorted(rng.sample(positions, len(positions) // 2))
                 stats = MiningStats()
-                got = matching(candidates, t, series, params, stats, ranks)
+                index = _shape_index(candidates, m, vals, ranks)
+                got = matching(candidates, t, series, params, stats, index=index)
                 expected = tuple(
                     x for x in candidates if is_occurrence(t, vals[x - 1 : x - 1 + m], params)
                 )
@@ -189,7 +186,8 @@ class TestMatching:
             positions = range(1, n - m + 2)
             for t in itertools.permutations(range(1, m + 1)):
                 candidates = sorted(rng.sample(positions, 2 * len(positions) // 3))
-                got = matching(candidates, t, series, params, None, ranks)
+                index = _shape_index(candidates, m, vals, ranks)
+                got = matching(candidates, t, series, params, index=index)
                 expected = tuple(
                     x for x in candidates if is_occurrence(t, vals[x - 1 : x - 1 + m], params)
                 )
@@ -212,7 +210,7 @@ def test_cost_table_fit_equals_both_distances(m):
         for delta in (0, 1, 2, 5):
             for gamma in (0, 1, 2, 4, 8):
                 params = MiningParams(delta=delta, gamma=gamma, minsup=1)
-                got = matching(candidates, t, series, params, None, None, None, index)
+                got = matching(candidates, t, series, params, index=index)
                 fit = [d <= delta and g <= gamma for d, g in gaps]
                 assert got == tuple(itertools.compress(candidates, fit)), (t, delta, gamma)
 
@@ -223,14 +221,14 @@ def test_cost_table_fit_equals_both_distances(m):
 def test_children_share_one_shape_index_per_group(kind, delta, tied, monkeypatch):
     # at delta > 0 each candidate group indexes its positions' shapes once;
     # matching still runs once per child, at the group's own positions, and
-    # finds what it finds with no index, memo or pair
+    # finds what it finds with no index
     import aopmine.miner as miner
 
     real_confirm, real_matching = miner._confirm, miner.matching
     calls = []
 
-    def recorded_matching(candidates, t, series, params, stats=None, ranks=None, pair=None, index=None):
-        found = real_matching(candidates, t, series, params, stats, ranks, pair, index)
+    def recorded_matching(candidates, t, series, params, stats=None, screened=False, index=None):
+        found = real_matching(candidates, t, series, params, stats, screened, index)
         assert found == real_matching(candidates, t, series, params), t
         calls.append((candidates, t, index))
         return found
@@ -638,7 +636,7 @@ def _per_pair_screened(level, n):
     """Reference fusion groups: every pair screened from both occurrence lists."""
     by_pattern = {fp.pattern: fp.occurrences for fp in level}
     for p, q in fusion_pairs(by_pattern):
-        yield fuse(p, q).produced, screen(by_pattern[p], by_pattern[q]), (p, q)
+        yield fuse(p, q).produced, screen(by_pattern[p], by_pattern[q])
 
 
 @pytest.mark.parametrize("kind", ["aop", "nopruning"])

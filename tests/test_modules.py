@@ -1,7 +1,8 @@
 """Module structure: each rule is decided in one module.
 
 Every import sits at module level, so the import graph is visible and has no
-cycle hidden in a function body. The oracle imports only the core types, so
+cycle hidden in a function body. No module uses ``assert``, which ``-O``
+strips, so every check on an argument raises. The oracle imports only the core types, so
 it shares no mining code with the engine it checks.
 """
 
@@ -35,6 +36,13 @@ def test_every_import_is_at_module_level(path):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
     ]
     assert nested == [], f"{path.name} imports below module level at lines {nested}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_assert_statement(path):
+    # asserts vanish under python -O, so no argument check may be one
+    lines = [node.lineno for node in ast.walk(parse(path)) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} has assert statements at lines {lines}"
 
 
 def test_oracle_imports_only_core():

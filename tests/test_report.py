@@ -113,16 +113,43 @@ class TestMiningReport:
 
     @pytest.mark.parametrize(
         "case, problem",
-        [("no params", "KeyError"), ("list", "TypeError"), ("negative delta", "ValueError")],
+        [
+            ("no params", "KeyError"),
+            ("list", "TypeError"),
+            ("negative delta", "ValueError"),
+            ("bool delta", "ValueError: delta must be a non-negative integer, got True"),
+            ("schema 99", "ValueError: schema_version 99, expected 1"),
+            ("no schema", "ValueError: schema_version None, expected 1"),
+            ("support off", r"ValueError: support \d+ but \d+ occurrences"),
+            ("tied ranks", "ValueError: not a pattern"),
+            ("repeated position", "ValueError: occurrences of .* not ascending positions from 1"),
+            ("position 0", "ValueError: occurrences of .* not ascending positions from 1"),
+        ],
     )
     def test_json_that_is_not_a_report(self, case, problem, sample_report, tmp_path):
+        # write_report writes none of these, so read_report refuses them all
         payload = report_to_payload(sample_report)
+        entry = payload["patterns"][0]
         if case == "no params":
             payload = {"patterns": []}
         elif case == "list":
             payload = [payload]
-        else:
+        elif case == "negative delta":
             payload["params"]["delta"] = -1
+        elif case == "bool delta":
+            payload["params"]["delta"] = True
+        elif case == "schema 99":
+            payload["schema_version"] = 99
+        elif case == "no schema":
+            del payload["schema_version"]
+        elif case == "support off":
+            entry["support"] += 1
+        elif case == "tied ranks":
+            entry["ranks"] = [7, 7]
+        elif case == "repeated position":
+            entry.update(support=3, occurrences=[5, 3, 3])
+        else:
+            entry.update(support=2, occurrences=[0, 1])
         path = tmp_path / "out.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=f"out.json: not a valid report: {problem}"):

@@ -153,10 +153,6 @@ def _convert_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _convert_int(value: str) -> int:
-    return int(value, 10)
-
-
 def _convert_column(value: str) -> int | str:
     return int(value, 10) if value.lstrip("-").isdigit() else value
 
@@ -178,10 +174,10 @@ _CONFIG_KEYS: dict[str, Callable[[str], Any]] = {
     "format": _convert_format,
     "column": _convert_column,
     "name": str,
-    "delta": _convert_int,
-    "gamma": _convert_int,
-    "minsup": _convert_int,
-    "max_length": _convert_int,
+    "delta": int,
+    "gamma": int,
+    "minsup": int,
+    "max_length": int,
     "algorithm": _convert_algorithm,
     "output": str,
     "occurrences": _convert_bool,
@@ -251,8 +247,3 @@ def build_run_config(values: dict[str, Any]) -> RunConfig:
         output=Path(output) if output is not None else None,
         emit_occurrences=values.get("occurrences"),
     )
-
-
-def load_config(path: str | Path) -> RunConfig:
-    """Parse a configuration file straight into a RunConfig."""
-    return build_run_config(parse_config(path))

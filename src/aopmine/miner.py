@@ -21,17 +21,20 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress, repeat
 from operator import getitem, gt, lt, not_, sub
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import FrequentPattern, MiningParams, OccurrenceSet, Pattern, RankVector, TimeSeries
+from .core import compute_ranks
 from .oracle import oracle_mine
 from .patterns import enumerate_extensions, fuse, fusion_pairs
+
+RankMemo = tuple[list, Optional[list], dict]  # (shapes, shorter, composed): see rank_memo
 
 
 @dataclass
@@ -56,16 +59,13 @@ class MiningStats:
         self.candidates_generated[length] = self.candidates_generated.get(length, 0) + n
 
 
-def rank_memo(n: int, prev: list[Any] | None = None) -> list[Any]:
-    """An empty rank memo, for ``_shape_index``, of one window length over n samples.
-
-    Slot x (1 <= x <= n) will hold the rank vector of the window starting at
-    1-based position x. Slot 0 holds ``(prev, composed)``: ``prev`` is the
-    memo of the windows one sample shorter (or None), and ``composed`` maps
-    each composition key (see ``_shape_index``) and each ranked vector to
-    one shared tuple, which keeps a level's memo small.
-    """
-    return [(prev, {})] + [None] * n
+def rank_memo(n: int, shorter: list | None = None) -> RankMemo:
+    """An empty rank memo ``(shapes, shorter, composed)`` of one window length over n
+    samples, for ``_shape_index``. Slot x (1 <= x <= n) of ``shapes`` will hold the rank
+    vector of the window at 1-based position x. ``shorter`` is the ``shapes`` of the
+    windows one sample shorter (or None), so no memo keeps an older one alive. ``composed``
+    maps each composition key and each ranked vector to one shared tuple (see ``_shape_index``)."""
+    return [None] * (n + 1), shorter, {}
 
 
 def matching(
@@ -130,31 +130,29 @@ def _require_windows(candidates: Sequence[int], m: int, n: int) -> None:
 
 
 def _shape_index(
-    candidates: Sequence[int], m: int, vals: Sequence[float], ranks: list[Any]
+    candidates: Sequence[int], m: int, vals: Sequence[float], ranks: RankMemo
 ) -> tuple[list[RankVector], list[RankVector]]:
     """The length-m window shape at each candidate, and the distinct ones, from
     ``ranks``, the ``rank_memo`` of length m. An empty slot is composed from its
     two length-(m-1) windows and the sign of its first minus its last sample
-    (docs/lemmas.md), and ranked only when that key is new or a ``prev`` slot
-    is empty. The memo is read once, and again after filling empty slots."""
-    at = list(map(ranks.__getitem__, candidates))
+    (docs/lemmas.md), and ranked only when that key is new or a ``shorter``
+    slot is empty. The memo is read once, and again after filling empty slots."""
+    shapes, shorter, composed = ranks
+    at = list(map(shapes.__getitem__, candidates))
     if not all(at):
-        prev, composed = ranks[0]
         for x in compress(candidates, map(not_, at)):
             key = None
-            if prev is not None and prev[x] is not None and prev[x + 1] is not None:
+            if shorter is not None and shorter[x] is not None and shorter[x + 1] is not None:
                 first, last = vals[x - 1], vals[x + m - 2]
-                key = (prev[x], prev[x + 1], (first > last) - (first < last))
+                key = (shorter[x], shorter[x + 1], (first > last) - (first < last))
             r = composed.get(key)
-            if r is None:  # no finiteness check: TimeSeries has rejected non-finite samples
-                window = vals[x - 1 : x - 1 + m]
-                ordered = sorted(window)
-                r = tuple([1 + bisect_left(ordered, v) for v in window])
-                r = composed.setdefault(r, r)
+            if r is None:
+                r = compute_ranks(vals[x - 1 : x - 1 + m])
+                r = composed.setdefault(r, r)  # one object per shape: found by identity
                 if key is not None:
                     composed[key] = r
-            ranks[x] = r
-        at = list(map(ranks.__getitem__, candidates))
+            shapes[x] = r
+        at = list(map(shapes.__getitem__, candidates))
     return at, list(dict.fromkeys(at))
 
 
@@ -225,7 +223,7 @@ def _confirm(
     series: TimeSeries,
     params: MiningParams,
     stats: MiningStats,
-    ranks: list[Any] | None,
+    ranks: RankMemo | None,
 ) -> list[FrequentPattern]:
     """The prune-and-match step for candidates that share candidate positions.
 
@@ -306,7 +304,7 @@ def alar(
     params: MiningParams,
     stats: MiningStats | None = None,
     kind: str = "aop",
-    ranks: list[Any] | None = None,
+    ranks: RankMemo | None = None,
 ) -> tuple[FrequentPattern, ...]:
     """Grow the next pattern length from the current frequent set.
 
@@ -368,22 +366,20 @@ def mine(
             if max_len is not None and len(level[0].pattern) >= max_len:
                 break
             if memo is not None:
-                # unlink the memo two levels back, so at most two stay alive
-                memo[0] = (None, memo[0][1])
-                memo = rank_memo(n, memo)
+                memo = rank_memo(n, memo[0])
             level = alar(level, series, params, stats, kind, memo)
     stats.wall_time = time.perf_counter() - start
     return tuple(found), stats  # levels arrive in length order, each one sorted
 
 
-def _length2_memo(vals: Sequence[float]) -> list[Any]:
+def _length2_memo(vals: Sequence[float]) -> RankMemo:
     """The filled rank memo of every length-2 window, for level 3 to compose
     from: such a window's shape is the sign of its second sample minus its
     first."""
     later = vals[1:]
     signs = map(sub, map(gt, later, vals), map(lt, later, vals))
     memo = rank_memo(len(vals))
-    memo[1 : len(vals)] = map(((1, 1), (1, 2), (2, 1)).__getitem__, signs)
+    memo[0][1 : len(vals)] = map(((1, 1), (1, 2), (2, 1)).__getitem__, signs)
     return memo
 
 

@@ -170,20 +170,15 @@ def read_report(path: str | Path) -> MiningReport:
         version = payload.get("schema_version")
         if version != REPORT_SCHEMA_VERSION:
             raise ValueError(f"schema_version {version!r}, expected {REPORT_SCHEMA_VERSION}")
+        names = [payload[key] for key in ("dataset", "algorithm", "tool_version")]
+        if not all(type(name) is str for name in names):
+            raise ValueError(f"dataset, algorithm and tool_version must be strings: {names!r}")
         return MiningReport(
             dataset=payload["dataset"],
             algorithm=payload["algorithm"],
             params=MiningParams(**params),
             patterns=tuple(map(_read_entry, payload["patterns"])),
-            stats=MiningStats(
-                candidates_generated={
-                    int(k): v for k, v in stats["candidates_by_length"].items()
-                },
-                matching_windows_tested=stats["matching_windows_tested"],
-                patterns_pruned_by_count=stats["patterns_pruned_by_count"],
-            )
-            if stats is not None
-            else None,
+            stats=_read_stats(stats) if stats is not None else None,
             tool_version=payload["tool_version"],
         )
     except OSError as exc:
@@ -194,13 +189,30 @@ def read_report(path: str | Path) -> MiningReport:
 
 def _read_entry(item: dict[str, Any]) -> PatternEntry:
     """One report entry; ValueError unless ``write_report`` could have written it."""
-    ranks, support = validate_pattern(item["ranks"]), item["support"]
+    ranks, support = item["ranks"], item["support"]
     occurrences = tuple(item["occurrences"]) if "occurrences" in item else None
+    if not all(type(v) is int for v in (*ranks, support, *(occurrences or ()))):
+        raise ValueError(f"ranks, support and positions of {ranks!r} must be integers")
+    ranks = validate_pattern(ranks)
     if occurrences is not None and len(occurrences) != support:
         raise ValueError(f"support {support!r} but {len(occurrences)} occurrences")
     if occurrences is not None and not all(map(lt, (0, *occurrences), occurrences)):
         raise ValueError(f"occurrences of {list(ranks)} not ascending positions from 1")
     return PatternEntry(ranks, support, occurrences)
+
+
+def _read_stats(stats: dict[str, Any]) -> MiningStats:
+    """A report's counters; ValueError unless ``write_report`` could have written them."""
+    by_length = stats["candidates_by_length"]
+    total = stats["total_candidates"]
+    windows, pruned = stats["matching_windows_tested"], stats["patterns_pruned_by_count"]
+    if not all(type(v) is int and v >= 0 for v in (*by_length.values(), total, windows, pruned)):
+        raise ValueError(f"stats counters must be non-negative integers: {stats!r}")
+    if any(str(int(k)) != k or int(k) < 2 for k in by_length):
+        raise ValueError(f"candidates_by_length keys must be lengths >= 2: {list(by_length)!r}")
+    if total != sum(by_length.values()):
+        raise ValueError(f"total_candidates {total} is not the sum of candidates_by_length")
+    return MiningStats({int(k): v for k, v in by_length.items()}, windows, pruned)
 
 
 def write_bench(rows: Iterable[tuple[str, int, MiningStats]], path: str | Path) -> None:

@@ -12,7 +12,6 @@ from aopmine.ingest import (
     _CONFIG_KEYS,
     DatasetSpec,
     build_run_config,
-    load_config,
     load_series,
     parse_config,
 )
@@ -184,7 +183,7 @@ class TestLoadCsv:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"input = {path}\ncolumn = close\nminsup = 2\n")
         with pytest.raises(ConfigError, match="column 'close' given for plain-format"):
-            load_config(cfg)
+            build_run_config(parse_config(cfg))
         assert DatasetSpec(path, format="csv", column=0).column == 0
 
     def test_samples_are_doubles(self, tmp_path):
@@ -296,7 +295,7 @@ class TestBuildRunConfig:
     def test_parameters_mirrored(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("input = x.txt\nminsup = 1000\ndelta = 2\ngamma = 4\n")
-        config = load_config(path)
+        config = build_run_config(parse_config(path))
         assert config.params.delta == 2
         assert config.params.gamma == 4
         assert config.params.minsup == 1000

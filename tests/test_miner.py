@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -168,7 +169,7 @@ class TestMatching:
     def test_chained_memo_equals_is_occurrence(self, holes, tie_free, delta, gamma):
         # each level's memo is chained to the one before, as mine() does, so
         # most shapes are composed from the two shorter windows inside; with
-        # holes, every other slot of the previous memo is blank and those
+        # holes, every other slot of the shorter shapes is blank and those
         # windows (x or x+1 missing) must be ranked directly
         rng = random.Random(100 + delta * 10 + gamma)
         if tie_free:
@@ -178,11 +179,12 @@ class TestMatching:
         params = MiningParams(delta=delta, gamma=gamma, minsup=1)
         vals = series.values
         n = len(vals)
-        prev = [(None, {})] + [(1,)] * n
+        memo = rank_memo(n)
+        memo[0][1:] = [(1,)] * n  # every length-1 window has the one shape (1,)
         for m in (2, 3, 4, 5):
             if holes:
-                prev[2::2] = [None] * len(prev[2::2])
-            ranks = rank_memo(n, prev)
+                memo[0][2::2] = [None] * len(memo[0][2::2])
+            ranks = rank_memo(n, memo[0])
             positions = range(1, n - m + 2)
             for t in itertools.permutations(range(1, m + 1)):
                 candidates = sorted(rng.sample(positions, 2 * len(positions) // 3))
@@ -192,9 +194,10 @@ class TestMatching:
                     x for x in candidates if is_occurrence(t, vals[x - 1 : x - 1 + m], params)
                 )
                 assert got == expected
+            shapes = ranks[0]
             for x in positions:
-                assert ranks[x] is None or ranks[x] == compute_ranks(vals[x - 1 : x - 1 + m])
-            prev = ranks
+                assert shapes[x] is None or shapes[x] == compute_ranks(vals[x - 1 : x - 1 + m])
+            memo = ranks
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -397,26 +400,33 @@ class TestVariantSupport:
 
 @pytest.mark.parametrize("kind", MINERS)
 def test_level_memo_is_garbage_two_levels_on(kind, monkeypatch):
-    # mine() chains each level's rank memo to the previous one; a level's
-    # memo must be freed by the time the level two further on is grown.
-    # Exact fusion matches every level by sign and builds no memo at all
+    # mine() gives each level's rank memo only the previous level's shapes,
+    # so when alar grows a level only that level's memo is alive, and of the
+    # earlier memos only the previous shapes, as its shorter shapes. Exact
+    # fusion matches every level by sign and builds no memo at all
     import aopmine.miner as miner
 
-    class Memo(list):  # a list subclass, so it can be weakly referenced
+    class Shapes(list):  # list and dict subclasses can be weakly referenced
         pass
 
-    memos = []
+    class Composed(dict):
+        pass
+
+    memos = []  # (shapes, composed) of every memo made, weakly
     real_rank_memo, real_alar = miner.rank_memo, miner.alar
 
-    def tracked_rank_memo(n, prev=None):
-        memo = Memo(real_rank_memo(n, prev))
-        memos.append(weakref.ref(memo))
-        return memo
+    def tracked_rank_memo(n, shorter=None):
+        shapes, shorter, composed = real_rank_memo(n, shorter)
+        shapes, composed = Shapes(shapes), Composed(composed)
+        memos.append((weakref.ref(shapes), weakref.ref(composed)))
+        return shapes, shorter, composed
 
-    def checked_alar(*args, **kwargs):
-        # memos[-1] is this level's, memos[-2] the previous one
-        assert [ref() is None for ref in memos[:-2]] == [True] * len(memos[:-2])
-        return real_alar(*args, **kwargs)
+    def checked_alar(level, series, params, stats, kind, ranks):
+        if ranks is not None:  # memos[-1] is this level's, memos[-2] the previous one
+            alive = [(shapes() is not None, composed() is not None) for shapes, composed in memos]
+            assert alive == [(False, False)] * (len(memos) - 2) + [(True, False), (True, True)]
+            assert ranks[0] is memos[-1][0]() and ranks[1] is memos[-2][0]()
+        return real_alar(level, series, params, stats, kind, ranks)
 
     monkeypatch.setattr(miner, "rank_memo", tracked_rank_memo)
     monkeypatch.setattr(miner, "alar", checked_alar)
@@ -432,25 +442,53 @@ def test_level_memo_is_garbage_two_levels_on(kind, monkeypatch):
             assert memos == []
         else:
             assert len(memos) == 6
-            assert memos[0]() is None
+            assert [shapes() or composed() for shapes, composed in memos] == [None] * 6
 
 
 def test_exact_em_composes_from_the_length_2_memo(monkeypatch):
     # at delta = 0 level 2 is matched without ranking, but it must still
     # leave every length-2 shape in the memo, so that em's level 3 composes
-    # its windows rather than sorting each one
+    # its windows rather than ranking each one (3,393 rankings if it did)
     import aopmine.miner as miner
 
-    sorts = []
-
-    def counted_sorted(*args, **kwargs):
-        sorts.append(1)
-        return sorted(*args, **kwargs)
-
-    monkeypatch.setattr(miner, "sorted", counted_sorted, raising=False)
+    ranked = []
+    real_compute_ranks = miner.compute_ranks
+    monkeypatch.setattr(
+        miner, "compute_ranks", lambda window: ranked.append(1) or real_compute_ranks(window)
+    )
     found, _ = mine(_gaussian_walk(1, 3000), MiningParams(delta=0, gamma=0, minsup=30), "em")
     assert len(found) == 74
-    assert len(sorts) <= 402  # windows ranked directly, plus one sort per level
+    assert 0 < len(ranked) <= 394  # the first window of each composition key
+
+
+@pytest.mark.parametrize("kind", MINERS)
+@pytest.mark.parametrize("delta", [0, 1, 2])
+@pytest.mark.parametrize("tied", [False, True])
+def test_mine_never_reads_an_empty_slot_without_its_shorter_shapes(kind, delta, tied, monkeypatch):
+    # inside mine() every window a level reads has both its one-shorter
+    # windows in the previous level's shapes (docs/lemmas.md, composition
+    # lemma), so a window is ranked directly only for a new composition key
+    import aopmine.miner as miner
+
+    empty = []
+    real_shape_index = miner._shape_index
+
+    def checked_shape_index(candidates, m, vals, ranks):
+        shapes, shorter, _ = ranks
+        for x in candidates:
+            if shapes[x] is None:
+                assert shorter is not None and shorter[x] is not None and shorter[x + 1] is not None
+                empty.append(m)
+        return real_shape_index(candidates, m, vals, ranks)
+
+    monkeypatch.setattr(miner, "_shape_index", checked_shape_index)
+    n = 120 if kind == "scan_em" else 300
+    series = _three_symbols(delta, n) if tied else _gaussian_walk(delta, n)
+    mine(series, MiningParams(delta=delta, gamma=2 * delta, minsup=6), kind)
+    if delta > 0 or kind in ("em", "scan_em"):
+        assert max(empty) >= 4  # slots of level 4 or longer were filled
+    else:
+        assert empty == []  # exact fusion reads no shapes
 
 
 @pytest.mark.parametrize("kind", MINERS)
@@ -498,6 +536,15 @@ class TestMineGolden:
     def test_sample_series_full_output(self, kind, sample_series, sample_params):
         found, _ = mine(sample_series, sample_params, kind)
         assert freq_map(found) == SAMPLE_EXPECTED
+
+    def test_readme_library_example(self, capsys):
+        # the README's Library example runs as written and finds the golden set
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = text.split("\n## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(example, namespace)
+        assert freq_map(namespace["found"]) == SAMPLE_EXPECTED
+        assert capsys.readouterr().out.count("\n") == len(SAMPLE_EXPECTED) + 1
 
     def test_oracle_kind_agrees(self, sample_series):
         params = MiningParams(delta=1, gamma=2, minsup=4, max_len=5)

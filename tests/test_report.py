@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -124,12 +126,22 @@ class TestMiningReport:
             ("tied ranks", "ValueError: not a pattern"),
             ("repeated position", "ValueError: occurrences of .* not ascending positions from 1"),
             ("position 0", "ValueError: occurrences of .* not ascending positions from 1"),
+            ("string and float ranks", "ValueError: ranks, support and positions of .* integers"),
+            ("bool rank", "ValueError: ranks, support and positions of .* integers"),
+            ("float positions", "ValueError: ranks, support and positions of .* integers"),
+            ("float support", "ValueError: ranks, support and positions of .* integers"),
+            ("negative windows", "ValueError: stats counters must be non-negative integers"),
+            ("junk windows", "ValueError: stats counters must be non-negative integers"),
+            ("junk total", "ValueError: stats counters must be non-negative integers"),
+            ("length 1", r"ValueError: candidates_by_length keys must be lengths >= 2: \['1'"),
+            ("total off", r"ValueError: total_candidates \d+ is not the sum of"),
+            ("number dataset", "ValueError: dataset, algorithm and tool_version must be str"),
         ],
     )
     def test_json_that_is_not_a_report(self, case, problem, sample_report, tmp_path):
         # write_report writes none of these, so read_report refuses them all
         payload = report_to_payload(sample_report)
-        entry = payload["patterns"][0]
+        entry, stats = payload["patterns"][0], payload["stats"]
         if case == "no params":
             payload = {"patterns": []}
         elif case == "list":
@@ -148,8 +160,28 @@ class TestMiningReport:
             entry["ranks"] = [7, 7]
         elif case == "repeated position":
             entry.update(support=3, occurrences=[5, 3, 3])
-        else:
+        elif case == "position 0":
             entry.update(support=2, occurrences=[0, 1])
+        elif case == "string and float ranks":
+            entry["ranks"] = ["1", 2.7]
+        elif case == "bool rank":
+            entry["ranks"] = [True, 2]
+        elif case == "float positions":
+            entry.update(support=3, occurrences=[1.5, 2.5, 3.5])
+        elif case == "float support":
+            entry["support"] = float(entry["support"])
+        elif case == "negative windows":
+            stats["matching_windows_tested"] = -5
+        elif case == "junk windows":
+            stats["matching_windows_tested"] = "junk"
+        elif case == "junk total":
+            stats["total_candidates"] = "junk"
+        elif case == "length 1":
+            stats["candidates_by_length"] = {"1": 2, "3": 6}
+        elif case == "total off":
+            stats["total_candidates"] += 1
+        else:
+            payload["dataset"] = 5
         path = tmp_path / "out.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=f"out.json: not a valid report: {problem}"):
@@ -201,3 +233,21 @@ class TestBenchTable:
             rows.append((kind, len(found), stats))
         write_bench(rows, tmp_path / "bench.csv")
         assert rows[0][2].matching_windows_tested < rows[1][2].matching_windows_tested
+
+
+class TestDocumentedFormats:
+    """docs/formats.md lists the bench columns and report keys this module writes."""
+
+    def section(self, heading):
+        text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+        return text.split(f"\n## {heading}", 1)[1].split("\n## ", 1)[0]
+
+    def test_documented_bench_columns_are_the_written_columns(self):
+        documented = re.findall(r"^\| `(\w+)`", self.section("Bench table"), flags=re.MULTILINE)
+        assert documented == list(BENCH_COLUMNS)
+
+    def test_documented_report_keys_are_the_written_keys(self, sample_report):
+        example = self.section("Mining report").split("```json\n", 1)[1].split("```", 1)[0]
+        documented, written = json.loads(example), report_to_payload(sample_report)
+        assert list(documented) == list(written)
+        assert list(documented["stats"]) == list(written["stats"])

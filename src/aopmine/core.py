@@ -132,9 +132,9 @@ def scan_occurrences(pattern: Pattern, series: TimeSeries, params: MiningParams)
 
 
 def validate_pattern(ranks: Iterable[int]) -> Pattern:
-    """Check that ranks form a permutation of 1..m with m >= 2 and return it."""
-    p = tuple(int(v) for v in ranks)
-    if len(p) < 2 or sorted(p) != list(range(1, len(p) + 1)):
+    """Check that ranks are ints, not bools, permuting 1..m with m >= 2; return them."""
+    p = tuple(ranks)
+    if len(p) < 2 or any(type(v) is not int for v in p) or sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError(f"not a pattern (needs a permutation of 1..m, m >= 2): {p!r}")
     return p
 

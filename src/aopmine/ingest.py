@@ -157,28 +157,25 @@ def _convert_column(value: str) -> int | str:
     return int(value, 10) if value.lstrip("-").isdigit() else value
 
 
-def _convert_format(value: str) -> str:
-    if value not in FORMATS:
-        raise ValueError(f"expected one of {FORMATS}, got {value!r}")
-    return value
+def _one_of(choices: tuple[str, ...]) -> Callable[[str], str]:
+    def convert(value: str) -> str:
+        if value not in choices:
+            raise ValueError(f"expected one of {choices}, got {value!r}")
+        return value
 
-
-def _convert_algorithm(value: str) -> str:
-    if value not in ALGORITHMS:
-        raise ValueError(f"expected one of {ALGORITHMS}, got {value!r}")
-    return value
+    return convert
 
 
 _CONFIG_KEYS: dict[str, Callable[[str], Any]] = {
     "input": str,
-    "format": _convert_format,
+    "format": _one_of(FORMATS),
     "column": _convert_column,
     "name": str,
     "delta": int,
     "gamma": int,
     "minsup": int,
     "max_length": int,
-    "algorithm": _convert_algorithm,
+    "algorithm": _one_of(ALGORITHMS),
     "output": str,
     "occurrences": _convert_bool,
 }

@@ -34,7 +34,7 @@ from .core import compute_ranks
 from .oracle import oracle_mine
 from .patterns import enumerate_extensions, fuse, fusion_pairs
 
-RankMemo = tuple[list, Optional[list], dict]  # (shapes, shorter, composed): see rank_memo
+RankMemo = tuple[list, Optional[list], dict]  # (shapes, shorter, composition key -> shape)
 
 
 @dataclass
@@ -64,7 +64,7 @@ def rank_memo(n: int, shorter: list | None = None) -> RankMemo:
     samples, for ``_shape_index``. Slot x (1 <= x <= n) of ``shapes`` will hold the rank
     vector of the window at 1-based position x. ``shorter`` is the ``shapes`` of the
     windows one sample shorter (or None), so no memo keeps an older one alive. ``composed``
-    maps each composition key and each ranked vector to one shared tuple (see ``_shape_index``)."""
+    maps each composition key to the shape it determines (see ``_shape_index``)."""
     return [None] * (n + 1), shorter, {}
 
 
@@ -133,24 +133,22 @@ def _shape_index(
     candidates: Sequence[int], m: int, vals: Sequence[float], ranks: RankMemo
 ) -> tuple[list[RankVector], list[RankVector]]:
     """The length-m window shape at each candidate, and the distinct ones, from
-    ``ranks``, the ``rank_memo`` of length m. An empty slot is composed from its
-    two length-(m-1) windows and the sign of its first minus its last sample
-    (docs/lemmas.md), and ranked only when that key is new or a ``shorter``
-    slot is empty. The memo is read once, and again after filling empty slots."""
+    ``ranks``, the ``rank_memo`` of length m. An empty slot is composed from its two
+    length-(m-1) windows and the sign of its first minus its last sample (docs/lemmas.md),
+    ranked only when that key is new; without both ``shorter`` slots it is ranked alone.
+    The memo is read once, and again after filling empty slots."""
     shapes, shorter, composed = ranks
     at = list(map(shapes.__getitem__, candidates))
     if not all(at):
         for x in compress(candidates, map(not_, at)):
-            key = None
-            if shorter is not None and shorter[x] is not None and shorter[x + 1] is not None:
-                first, last = vals[x - 1], vals[x + m - 2]
-                key = (shorter[x], shorter[x + 1], (first > last) - (first < last))
+            if shorter is None or shorter[x] is None or shorter[x + 1] is None:
+                shapes[x] = compute_ranks(vals[x - 1 : x - 1 + m])
+                continue
+            first, last = vals[x - 1], vals[x + m - 2]
+            key = (shorter[x], shorter[x + 1], (first > last) - (first < last))
             r = composed.get(key)
             if r is None:
-                r = compute_ranks(vals[x - 1 : x - 1 + m])
-                r = composed.setdefault(r, r)  # one object per shape: found by identity
-                if key is not None:
-                    composed[key] = r
+                r = composed[key] = compute_ranks(vals[x - 1 : x - 1 + m])
             shapes[x] = r
         at = list(map(shapes.__getitem__, candidates))
     return at, list(dict.fromkeys(at))

@@ -18,7 +18,7 @@ from typing import Any, Iterable, Sequence, TextIO
 from . import __version__
 from .core import FrequentPattern, MiningParams, OccurrenceSet, Pattern, validate_pattern
 from .errors import DataError
-from .miner import MiningStats
+from .miner import ALGORITHMS, MiningStats
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -173,11 +173,17 @@ def read_report(path: str | Path) -> MiningReport:
         names = [payload[key] for key in ("dataset", "algorithm", "tool_version")]
         if not all(type(name) is str for name in names):
             raise ValueError(f"dataset, algorithm and tool_version must be strings: {names!r}")
+        if payload["algorithm"] not in ALGORITHMS:
+            raise ValueError(f"algorithm {payload['algorithm']!r} is not one of {ALGORITHMS}")
+        entries = tuple(map(_read_entry, payload["patterns"]))
+        keys = [(len(entry.ranks), entry.ranks) for entry in entries]
+        if not all(map(lt, keys, keys[1:])):
+            raise ValueError("patterns not in strictly ascending (length, ranks) order")
         return MiningReport(
             dataset=payload["dataset"],
             algorithm=payload["algorithm"],
             params=MiningParams(**params),
-            patterns=tuple(map(_read_entry, payload["patterns"])),
+            patterns=entries,
             stats=_read_stats(stats) if stats is not None else None,
             tool_version=payload["tool_version"],
         )
@@ -194,6 +200,8 @@ def _read_entry(item: dict[str, Any]) -> PatternEntry:
     if not all(type(v) is int for v in (*ranks, support, *(occurrences or ()))):
         raise ValueError(f"ranks, support and positions of {ranks!r} must be integers")
     ranks = validate_pattern(ranks)
+    if support < 1:
+        raise ValueError(f"support {support} of {list(ranks)} is below 1")
     if occurrences is not None and len(occurrences) != support:
         raise ValueError(f"support {support!r} but {len(occurrences)} occurrences")
     if occurrences is not None and not all(map(lt, (0, *occurrences), occurrences)):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import argparse
+import io
+import itertools
 import json
 import os
 import shutil
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import aopmine
-from aopmine.cli import build_parser, main
+from aopmine.cli import _print_diff, build_parser, main
 from aopmine.core import MiningParams
 from aopmine.ingest import _CONFIG_KEYS, DatasetSpec, load_series
 from aopmine.report import BENCH_COLUMNS
@@ -184,6 +186,10 @@ class TestMineCommand:
         assert main(["mine", "--input", "bad.txt", "--minsup", "4"]) == 2
         capsys.readouterr()
 
+    def test_missing_config_file_exits_1(self, workdir, capsys):
+        assert main(["mine", "--config", "missing.conf"]) == 1
+        assert "error: cannot read config missing.conf" in capsys.readouterr().err
+
     def test_no_subcommand_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -252,6 +258,16 @@ class TestBenchCommand:
                 f"aop only [{last.occurrences[-1]}]") in captured.err.splitlines()
         assert table_rows(captured.out)["em"].split()[1] == "11"
 
+    def test_diff_stops_after_twenty_lines(self):
+        # 30 differing patterns: the first 20 by (length, ranks), then "  ..."
+        patterns = [*itertools.permutations((1, 2, 3)), *itertools.permutations((1, 2, 3, 4))]
+        out = io.StringIO()
+        _print_diff("em", {p: (1,) for p in patterns}, "aop", {}, out)
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 21 and lines[-1] == "  ..."
+        assert lines[0] == "  (1, 2, 3): em=1 aop=0; em only [1], aop only []"
+        assert lines[19].startswith(f"  {patterns[19]}: ")
+
     def test_repeat_flag(self, workdir):
         code = main(["bench", *MINE_FLAGS, "--algorithms", "aop", "--repeat", "3",
                      "--output", "b.csv"])
@@ -260,6 +276,10 @@ class TestBenchCommand:
     def test_unknown_algorithm_exits_1(self, workdir, capsys):
         assert main(["bench", *MINE_FLAGS, "--algorithms", "aop,warp"]) == 1
         capsys.readouterr()
+
+    def test_empty_algorithm_list_exits_1(self, workdir, capsys):
+        assert main(["bench", *MINE_FLAGS, "--algorithms", ","]) == 1
+        assert "error: --algorithms needs at least one name" in capsys.readouterr().err
 
     def test_bad_repeat_exits_1(self, workdir, capsys):
         assert main(["bench", *MINE_FLAGS, "--algorithms", "aop", "--repeat", "0"]) == 1

@@ -173,6 +173,6 @@ class TestTypes:
 
     def test_validate_pattern(self):
         assert validate_pattern([2, 1, 3]) == (2, 1, 3)
-        for bad in ((1,), (1, 1), (1, 3), (0, 1)):
-            with pytest.raises(ValueError):
+        for bad in ((1,), (1, 1), (1, 3), (0, 1), [True, 2], ["2", 1.9], [2.0, 1]):
+            with pytest.raises(ValueError, match="not a pattern"):
                 validate_pattern(bad)

@@ -69,7 +69,7 @@ def test_composition_lemma_exhaustive():
     # order of m samples, tied or tie-free, so in particular every window
     # over 1..3 symbols and every tie-free one
     for m in range(2, 7):
-        shape_of = {}
+        shape_of, key_of = {}, {}
         for window in itertools.product(range(m), repeat=m):
             first, last = window[0], window[-1]
             key = (
@@ -79,6 +79,9 @@ def test_composition_lemma_exhaustive():
             )
             shape = compute_ranks(window)
             assert shape_of.setdefault(key, shape) == shape, window
+            # the converse: a shape determines its key, so keys and shapes
+            # are one-to-one
+            assert key_of.setdefault(shape, key) == key, window
 
 
 def _pair_children(p, q):

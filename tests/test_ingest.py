@@ -167,6 +167,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=":3"):
             load_series(DatasetSpec(path, column=1))
 
+    def test_only_blank_rows(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(",\n  ,  \n\n")
+        with pytest.raises(DataError, match="data.csv: empty series"):
+            load_series(DatasetSpec(path))
+
+    def test_first_row_shorter_than_the_column_index(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1,2\n3,4,5\n")
+        with pytest.raises(DataError, match="data.csv:1: row has 2 columns, need index 2"):
+            load_series(DatasetSpec(path, column=2))
+
     def test_negative_column_index_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n1,2\n")
@@ -272,6 +284,20 @@ class TestParseConfig:
         path = tmp_path / "run.conf"
         path.write_text("minsup = soon\n")
         with pytest.raises(ConfigError, match="bad value for 'minsup'"):
+            parse_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("occurrences", "maybe", "expected a boolean, got 'maybe'"),
+            ("format", "xml", r"expected one of \('plain', 'csv'\), got 'xml'"),
+            ("algorithm", "warp", r"expected one of \('aop', .*'oracle'\), got 'warp'"),
+        ],
+    )
+    def test_value_not_among_the_choices(self, tmp_path, key, value, problem):
+        path = tmp_path / "run.conf"
+        path.write_text(f"minsup = 2\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f":2: bad value for '{key}': {problem}"):
             parse_config(path)
 
 

@@ -89,6 +89,13 @@ class TestMatching:
         assert got == (6, 11)
         assert stats.matching_windows_tested == 3
 
+    def test_iterator_candidates_equal_a_tuple(self, sample_series, sample_params):
+        stats = MiningStats()
+        t = (2, 3, 1, 5, 4)
+        got = matching(iter((3, 6, 11)), t, sample_series, sample_params, stats)
+        assert got == matching((3, 6, 11), t, sample_series, sample_params) == (6, 11)
+        assert stats.matching_windows_tested == 3
+
     def test_empty_candidates(self, sample_series, sample_params):
         assert matching((), (2, 3, 1, 5, 4), sample_series, sample_params) == ()
 
@@ -467,19 +474,25 @@ def test_exact_em_composes_from_the_length_2_memo(monkeypatch):
 def test_mine_never_reads_an_empty_slot_without_its_shorter_shapes(kind, delta, tied, monkeypatch):
     # inside mine() every window a level reads has both its one-shorter
     # windows in the previous level's shapes (docs/lemmas.md, composition
-    # lemma), so a window is ranked directly only for a new composition key
+    # lemma), so a window is ranked directly only for a new composition key,
+    # and the memo maps composition keys one-to-one to shapes
     import aopmine.miner as miner
 
     empty = []
     real_shape_index = miner._shape_index
 
     def checked_shape_index(candidates, m, vals, ranks):
-        shapes, shorter, _ = ranks
+        shapes, shorter, composed = ranks
         for x in candidates:
             if shapes[x] is None:
                 assert shorter is not None and shorter[x] is not None and shorter[x + 1] is not None
                 empty.append(m)
-        return real_shape_index(candidates, m, vals, ranks)
+        index = real_shape_index(candidates, m, vals, ranks)
+        for key in composed:
+            assert len(key) == 3 and key[2] in (-1, 0, 1), key
+            assert all(type(s) is tuple and len(s) == m - 1 for s in key[:2]), key
+        assert len(set(composed.values())) == len(composed)
+        return index
 
     monkeypatch.setattr(miner, "_shape_index", checked_shape_index)
     n = 120 if kind == "scan_em" else 300

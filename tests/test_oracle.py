@@ -68,6 +68,10 @@ class TestOracleExactOpp:
                 oracle_mine(series, params, 5)
             )
 
+    def test_minsup_below_one_refused(self, sample_series):
+        with pytest.raises(ValueError, match="minsup must be a positive integer, got 0"):
+            oracle_exact_opp(sample_series, 0, 4)
+
     def test_identical_values_have_no_patterns(self):
         series = TimeSeries((3.0,) * 20)
         assert oracle_exact_opp(series, 1, 4) == ()

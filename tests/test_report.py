@@ -113,6 +113,10 @@ class TestMiningReport:
         with pytest.raises(DataError, match="cannot write report"):
             write_report(sample_report, tmp_path / "missing" / "out.json")
 
+    def test_unreadable_path(self, tmp_path):
+        with pytest.raises(DataError, match=r"cannot read report .*missing\.json"):
+            read_report(tmp_path / "missing.json")
+
     @pytest.mark.parametrize(
         "case, problem",
         [
@@ -136,6 +140,10 @@ class TestMiningReport:
             ("length 1", r"ValueError: candidates_by_length keys must be lengths >= 2: \['1'"),
             ("total off", r"ValueError: total_candidates \d+ is not the sum of"),
             ("number dataset", "ValueError: dataset, algorithm and tool_version must be str"),
+            ("negative support", r"ValueError: support -3 of \[1, 2\] is below 1"),
+            ("nosuch algorithm", "ValueError: algorithm 'nosuch' is not one of"),
+            ("reversed patterns", r"ValueError: patterns not in strictly ascending \(length, r"),
+            ("repeated pattern", r"ValueError: patterns not in strictly ascending \(length, r"),
         ],
     )
     def test_json_that_is_not_a_report(self, case, problem, sample_report, tmp_path):
@@ -180,6 +188,15 @@ class TestMiningReport:
             stats["candidates_by_length"] = {"1": 2, "3": 6}
         elif case == "total off":
             stats["total_candidates"] += 1
+        elif case == "negative support":
+            del entry["occurrences"]
+            entry["support"] = -3
+        elif case == "nosuch algorithm":
+            payload["algorithm"] = "nosuch"
+        elif case == "reversed patterns":
+            payload["patterns"].reverse()
+        elif case == "repeated pattern":
+            payload["patterns"].insert(1, entry)
         else:
             payload["dataset"] = 5
         path = tmp_path / "out.json"
@@ -205,6 +222,10 @@ class TestBenchTable:
         assert rows[0]["total_candidates"] == "3"
         assert rows[1]["total_candidates"] == "8"
         assert rows[0]["candidates_by_length"] == "4:3"
+
+    def test_unwritable_path(self, tmp_path):
+        with pytest.raises(DataError, match=r"cannot write bench table .*bench\.csv"):
+            write_bench(self.fixture_rows(), tmp_path / "missing" / "bench.csv")
 
     def test_text_table(self, tmp_path):
         lines = bench_table(self.fixture_rows())

@@ -59,6 +59,13 @@ class TestMineCommand:
         payload = json.loads((workdir / "sample16.report.json").read_text())
         assert len(payload["patterns"]) == 11
 
+    def test_report_bytes_are_the_golden_file(self, workdir):
+        # tests/data/sample16.report.json was written by this command; any
+        # change to the report's bytes shows here, whatever writes them
+        assert main(["mine", *MINE_FLAGS]) == 0
+        golden = (DATA_DIR / "sample16.report.json").read_bytes()
+        assert (workdir / "sample16.report.json").read_bytes() == golden
+
     def test_csv_input(self, workdir, capsys):
         code = main(
             ["mine", "--input", "sample16.csv", "--column", "close",

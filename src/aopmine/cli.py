@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError
 from .ingest import _CONFIG_KEYS, FORMATS, RunConfig, _convert_column
 from .ingest import build_run_config, load_series, parse_config
 from .miner import ALGORITHMS, mine
-from .report import bench_table, build_report, write_bench, write_report
+from .report import bench_table, write_bench, write_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -156,15 +156,15 @@ def cmd_mine(args: argparse.Namespace) -> int:
     out_path = _resolve_output(config, "report.json", args.config)
     series = load_series(config.dataset)
     found, stats = mine(series, config.params, config.algorithm)
-    report = build_report(
-        dataset=series.name,
-        algorithm=config.algorithm,
-        params=config.params,
-        patterns=found,
-        stats=stats,
+    write_report(
+        out_path,
+        series.name,
+        config.algorithm,
+        config.params,
+        found,
+        stats,
         include_occurrences=config.emit_occurrences,
     )
-    write_report(report, out_path)
     _print_pattern_summary(found)
     print(f"report: {out_path}")
     return EXIT_OK

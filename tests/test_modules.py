@@ -1,7 +1,7 @@
 """Module structure: each rule is decided in one module.
 
 Every import sits at module level, so the import graph is visible and has no
-cycle hidden in a function body. No module uses ``assert``, which ``-O``
+cycle hidden in a function body, and every import is used. No module uses ``assert``, which ``-O``
 strips, so every check on an argument raises. The oracle imports only the core types, so
 it shares no mining code with the engine it checks.
 """
@@ -36,6 +36,27 @@ def test_every_import_is_at_module_level(path):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
     ]
     assert nested == [], f"{path.name} imports below module level at lines {nested}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    # a module-level import that nothing reads is dead code; a name listed in
+    # __all__ is a re-export, and ``from __future__`` binds nothing
+    tree = parse(path)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            exported = set(ast.literal_eval(node.value))
+    unused = {name: line for name, line in imported.items() if name not in read | exported}
+    assert unused == {}, f"{path.name} imports names it never uses: {unused}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -7,14 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from aopmine import FrequentPattern, MiningStats, mine
+from aopmine import FrequentPattern, MiningParams, MiningStats, __version__, mine
 from aopmine.errors import DataError
 from aopmine.report import (
     BENCH_COLUMNS,
+    OCCURRENCE_EMIT_LIMIT as LIMIT,
     bench_table,
-    build_report,
-    read_report,
-    report_to_payload,
     write_bench,
     write_report,
 )
@@ -22,187 +20,117 @@ from conftest import SAMPLE_EXPECTED
 
 
 @pytest.fixture
-def sample_report(sample_series, sample_params):
-    found, stats = mine(sample_series, sample_params)
-    return build_report("sample16", "aop", sample_params, found, stats=stats)
+def sample_run(sample_series, sample_params):
+    return mine(sample_series, sample_params)
+
+
+def written(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def expected_payload(dataset, algorithm, params: MiningParams, patterns, stats, occurrences):
+    """The documented report of one run, built without the writer's code."""
+    entries = []
+    for fp in sorted(patterns, key=lambda fp: (len(fp.pattern), fp.pattern)):
+        entry = {"ranks": list(fp.pattern), "support": len(fp.occurrences)}
+        if occurrences:
+            entry["occurrences"] = list(fp.occurrences)
+        entries.append(entry)
+    by_length = stats.candidates_generated
+    return {
+        "schema_version": 1,
+        "tool_version": __version__,
+        "dataset": dataset,
+        "algorithm": algorithm,
+        "params": {
+            "delta": params.delta,
+            "gamma": params.gamma,
+            "minsup": params.minsup,
+            "max_len": params.max_len,
+        },
+        "patterns": entries,
+        "stats": {
+            "candidates_by_length": {str(k): by_length[k] for k in sorted(by_length)},
+            "total_candidates": sum(by_length.values()),
+            "matching_windows_tested": stats.matching_windows_tested,
+            "patterns_pruned_by_count": stats.patterns_pruned_by_count,
+        },
+    }
 
 
 class TestMiningReport:
-    def test_golden_content(self, sample_report):
-        by_ranks = {entry.ranks: entry for entry in sample_report.patterns}
+    def test_golden_content(self, sample_run, sample_params, tmp_path):
+        path = tmp_path / "out.json"
+        write_report(path, "sample16", "aop", sample_params, *sample_run)
+        by_ranks = {tuple(entry["ranks"]): entry for entry in written(path)["patterns"]}
         assert set(by_ranks) == set(SAMPLE_EXPECTED)
-        assert by_ranks[(2, 1, 4, 3)].occurrences == (4, 7, 12, 13)
-        assert by_ranks[(2, 1, 4, 3)].support == 4
+        assert by_ranks[(2, 1, 4, 3)]["occurrences"] == [4, 7, 12, 13]
+        assert by_ranks[(2, 1, 4, 3)]["support"] == 4
 
-    def test_round_trip(self, sample_report, tmp_path):
-        path = tmp_path / "out.json"
-        write_report(sample_report, path)
-        assert read_report(path) == sample_report
-
-    def test_round_trip_without_occurrences_or_stats(self, sample_params, tmp_path):
-        report = build_report(
-            "x",
-            "em",
-            sample_params,
-            [FrequentPattern((1, 2), (1, 5, 9))],
-            stats=None,
-            include_occurrences=False,
-        )
-        path = tmp_path / "out.json"
-        write_report(report, path)
-        back = read_report(path)
-        assert back == report
-        assert back.patterns[0].occurrences is None
-        assert back.stats is None
-
-    def test_write_is_deterministic(self, sample_report, tmp_path):
+    def test_write_is_deterministic(self, sample_run, sample_params, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
-        write_report(sample_report, first)
-        write_report(sample_report, second)
+        write_report(first, "sample16", "aop", sample_params, *sample_run)
+        write_report(second, "sample16", "aop", sample_params, *sample_run)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_wall_time_never_serialized(self, sample_report, tmp_path):
+    def test_wall_time_never_serialized(self, sample_run, sample_params, tmp_path):
         path = tmp_path / "out.json"
-        write_report(sample_report, path)
+        write_report(path, "sample16", "aop", sample_params, *sample_run)
         assert "wall" not in path.read_text()
 
     def test_empty_result_keeps_stats(self, sample_params, tmp_path):
         stats = MiningStats()
         stats.count_candidate(2, 2)
-        report = build_report("empty", "aop", sample_params, [], stats=stats)
         path = tmp_path / "out.json"
-        write_report(report, path)
-        payload = json.loads(path.read_text())
+        write_report(path, "empty", "aop", sample_params, [], stats)
+        payload = written(path)
         assert payload["patterns"] == []
         assert payload["stats"]["total_candidates"] == 2
 
-    def test_occurrences_dropped_above_limit(self, sample_params):
-        huge = FrequentPattern((1, 2), tuple(range(1, 100_002)))
-        report = build_report("big", "aop", sample_params, [huge])
-        assert report.patterns[0].occurrences is None
-        forced = build_report("big", "aop", sample_params, [huge], include_occurrences=True)
-        assert forced.patterns[0].occurrences is not None
+    def test_occurrences_dropped_above_limit(self, sample_params, tmp_path):
+        path = tmp_path / "out.json"
+        at_limit = FrequentPattern((1, 2), tuple(range(1, LIMIT + 1)))
+        write_report(path, "big", "aop", sample_params, [at_limit], MiningStats())
+        assert len(written(path)["patterns"][0]["occurrences"]) == LIMIT
+        huge = FrequentPattern((1, 2), tuple(range(1, LIMIT + 2)))
+        write_report(path, "big", "aop", sample_params, [huge], MiningStats())
+        assert written(path)["patterns"][0] == {"ranks": [1, 2], "support": LIMIT + 1}
+        write_report(path, "big", "aop", sample_params, [huge], MiningStats(), True)
+        assert len(written(path)["patterns"][0]["occurrences"]) == LIMIT + 1
 
     @pytest.mark.parametrize(
         "case",
-        ["no patterns", "suppressed", "stats null", "name", "2047", "2048", "2049"],
+        ["no patterns", "suppressed", "empty stats", "name", "2047", "2048", "2049"],
     )
-    def test_bytes_equal_json_dump(self, case, sample_report, sample_params, tmp_path):
+    def test_bytes_equal_json_dump(self, case, sample_run, sample_params, tmp_path):
         # write_report streams the pattern list; the bytes must be exactly
         # those of the standard encoder on the whole payload
-        stats = sample_report.stats
-        found = [FrequentPattern((1, 2), (1, 5, 9)), FrequentPattern((2, 1, 3), (4,))]
+        stats = sample_run[1]
+        dataset, algorithm, occurrences = "x", "aop", True
+        found = [FrequentPattern((2, 1, 3), (4,)), FrequentPattern((1, 2), (1, 5, 9))]
         if case == "no patterns":
-            report = build_report("empty", "aop", sample_params, [], stats=stats)
+            found = []
         elif case == "suppressed":
-            report = build_report("x", "em", sample_params, found, stats, include_occurrences=False)
-        elif case == "stats null":
-            report = build_report("x", "aop", sample_params, found, stats=None)
+            algorithm, occurrences = "em", False
+        elif case == "empty stats":
+            stats = MiningStats()
         elif case == "name":
-            report = build_report('é "quoted" \\ \u2603', "aop", sample_params, found, stats)
+            dataset = 'é "quoted" \\ \u2603 "patterns": []'
         else:
-            long = FrequentPattern((1, 2, 3), tuple(range(3, 3 + int(case))))
-            report = build_report("long", "aop", sample_params, [long, *found], stats)
+            found.append(FrequentPattern((1, 2, 3), tuple(range(3, 3 + int(case)))))
         path = tmp_path / "out.json"
-        write_report(report, path)
-        expected = json.dumps(report_to_payload(report), indent=2) + "\n"
-        assert path.read_text(encoding="utf-8") == expected
-        assert read_report(path) == report
+        write_report(path, dataset, algorithm, sample_params, found, stats, occurrences)
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert json.loads(text) == expected_payload(
+            dataset, algorithm, sample_params, found, stats, occurrences
+        )
 
-    def test_unwritable_path(self, sample_report, tmp_path):
+    def test_unwritable_path(self, sample_run, sample_params, tmp_path):
         with pytest.raises(DataError, match="cannot write report"):
-            write_report(sample_report, tmp_path / "missing" / "out.json")
-
-    def test_unreadable_path(self, tmp_path):
-        with pytest.raises(DataError, match=r"cannot read report .*missing\.json"):
-            read_report(tmp_path / "missing.json")
-
-    @pytest.mark.parametrize(
-        "case, problem",
-        [
-            ("no params", "KeyError"),
-            ("list", "TypeError"),
-            ("negative delta", "ValueError"),
-            ("bool delta", "ValueError: delta must be a non-negative integer, got True"),
-            ("schema 99", "ValueError: schema_version 99, expected 1"),
-            ("no schema", "ValueError: schema_version None, expected 1"),
-            ("support off", r"ValueError: support \d+ but \d+ occurrences"),
-            ("tied ranks", "ValueError: not a pattern"),
-            ("repeated position", "ValueError: occurrences of .* not ascending positions from 1"),
-            ("position 0", "ValueError: occurrences of .* not ascending positions from 1"),
-            ("string and float ranks", "ValueError: ranks, support and positions of .* integers"),
-            ("bool rank", "ValueError: ranks, support and positions of .* integers"),
-            ("float positions", "ValueError: ranks, support and positions of .* integers"),
-            ("float support", "ValueError: ranks, support and positions of .* integers"),
-            ("negative windows", "ValueError: stats counters must be non-negative integers"),
-            ("junk windows", "ValueError: stats counters must be non-negative integers"),
-            ("junk total", "ValueError: stats counters must be non-negative integers"),
-            ("length 1", r"ValueError: candidates_by_length keys must be lengths >= 2: \['1'"),
-            ("total off", r"ValueError: total_candidates \d+ is not the sum of"),
-            ("number dataset", "ValueError: dataset, algorithm and tool_version must be str"),
-            ("negative support", r"ValueError: support -3 of \[1, 2\] is below 1"),
-            ("nosuch algorithm", "ValueError: algorithm 'nosuch' is not one of"),
-            ("reversed patterns", r"ValueError: patterns not in strictly ascending \(length, r"),
-            ("repeated pattern", r"ValueError: patterns not in strictly ascending \(length, r"),
-        ],
-    )
-    def test_json_that_is_not_a_report(self, case, problem, sample_report, tmp_path):
-        # write_report writes none of these, so read_report refuses them all
-        payload = report_to_payload(sample_report)
-        entry, stats = payload["patterns"][0], payload["stats"]
-        if case == "no params":
-            payload = {"patterns": []}
-        elif case == "list":
-            payload = [payload]
-        elif case == "negative delta":
-            payload["params"]["delta"] = -1
-        elif case == "bool delta":
-            payload["params"]["delta"] = True
-        elif case == "schema 99":
-            payload["schema_version"] = 99
-        elif case == "no schema":
-            del payload["schema_version"]
-        elif case == "support off":
-            entry["support"] += 1
-        elif case == "tied ranks":
-            entry["ranks"] = [7, 7]
-        elif case == "repeated position":
-            entry.update(support=3, occurrences=[5, 3, 3])
-        elif case == "position 0":
-            entry.update(support=2, occurrences=[0, 1])
-        elif case == "string and float ranks":
-            entry["ranks"] = ["1", 2.7]
-        elif case == "bool rank":
-            entry["ranks"] = [True, 2]
-        elif case == "float positions":
-            entry.update(support=3, occurrences=[1.5, 2.5, 3.5])
-        elif case == "float support":
-            entry["support"] = float(entry["support"])
-        elif case == "negative windows":
-            stats["matching_windows_tested"] = -5
-        elif case == "junk windows":
-            stats["matching_windows_tested"] = "junk"
-        elif case == "junk total":
-            stats["total_candidates"] = "junk"
-        elif case == "length 1":
-            stats["candidates_by_length"] = {"1": 2, "3": 6}
-        elif case == "total off":
-            stats["total_candidates"] += 1
-        elif case == "negative support":
-            del entry["occurrences"]
-            entry["support"] = -3
-        elif case == "nosuch algorithm":
-            payload["algorithm"] = "nosuch"
-        elif case == "reversed patterns":
-            payload["patterns"].reverse()
-        elif case == "repeated pattern":
-            payload["patterns"].insert(1, entry)
-        else:
-            payload["dataset"] = 5
-        path = tmp_path / "out.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match=f"out.json: not a valid report: {problem}"):
-            read_report(path)
+            write_report(
+                tmp_path / "missing" / "out.json", "sample16", "aop", sample_params, *sample_run
+            )
 
 
 class TestBenchTable:
@@ -267,8 +195,12 @@ class TestDocumentedFormats:
         documented = re.findall(r"^\| `(\w+)`", self.section("Bench table"), flags=re.MULTILINE)
         assert documented == list(BENCH_COLUMNS)
 
-    def test_documented_report_keys_are_the_written_keys(self, sample_report):
+    def test_documented_report_keys_are_the_written_keys(self, sample_run, sample_params, tmp_path):
         example = self.section("Mining report").split("```json\n", 1)[1].split("```", 1)[0]
-        documented, written = json.loads(example), report_to_payload(sample_report)
-        assert list(documented) == list(written)
-        assert list(documented["stats"]) == list(written["stats"])
+        path = tmp_path / "out.json"
+        write_report(path, "sample16", "aop", sample_params, *sample_run)
+        documented, payload = json.loads(example), written(path)
+        assert list(documented) == list(payload)
+        for key in ("params", "stats"):
+            assert list(documented[key]) == list(payload[key])
+        assert list(documented["patterns"][0]) == list(payload["patterns"][0])

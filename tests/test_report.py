@@ -2,21 +2,33 @@ from __future__ import annotations
 
 import csv
 import json
+import random
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from aopmine import FrequentPattern, MiningParams, MiningStats, __version__, mine
+from aopmine import (
+    ALGORITHMS,
+    FrequentPattern,
+    MiningParams,
+    MiningStats,
+    TimeSeries,
+    __version__,
+    mine,
+)
+from aopmine.core import validate_pattern
 from aopmine.errors import DataError
 from aopmine.report import (
     BENCH_COLUMNS,
     OCCURRENCE_EMIT_LIMIT as LIMIT,
+    REPORT_SCHEMA_VERSION,
     bench_table,
     write_bench,
     write_report,
 )
-from conftest import SAMPLE_EXPECTED
+from conftest import SAMPLE_EXPECTED, SAMPLE_VALUES, freq_map, random_series
 
 
 @pytest.fixture
@@ -131,6 +143,106 @@ class TestMiningReport:
             write_report(
                 tmp_path / "missing" / "out.json", "sample16", "aop", sample_params, *sample_run
             )
+
+
+def _walk(seed: int, n: int) -> TimeSeries:
+    rng, level = random.Random(seed), 0.0
+    values = []
+    for _ in range(n):
+        level += rng.gauss(0, 1)
+        values.append(level)
+    return TimeSeries(values)
+
+
+# (series, params, algorithm, include_occurrences) of runs whose written
+# reports must each hold every documented property below
+REPORT_RUNS = {
+    "sample16-aop": (TimeSeries(SAMPLE_VALUES), MiningParams(1, 2, 4), "aop", None),
+    "walk-exact-em": (_walk(11, 60), MiningParams(0, 0, 3), "em", None),
+    "ties-scan_em-suppressed": (
+        random_series(random.Random(12), 80, tie_free=False),
+        MiningParams(2, 4, 6, max_len=4),
+        "scan_em",
+        False,
+    ),
+    "oracle-forced": (
+        random_series(random.Random(13), 40),
+        MiningParams(1, 1, 3, max_len=3),
+        "oracle",
+        True,
+    ),
+}
+
+
+class TestWrittenReportProperties:
+    """Every report the writer produces is a valid report as docs/formats.md
+    defines one: the schema header, params, patterns and stats each hold
+    their documented constraints, whatever the run."""
+
+    @pytest.fixture(params=list(REPORT_RUNS), scope="class")
+    def run(self, request, tmp_path_factory):
+        series, params, algorithm, occurrences = REPORT_RUNS[request.param]
+        found, stats = mine(series, params, algorithm)
+        path = tmp_path_factory.mktemp("report") / "out.json"
+        write_report(path, request.param, algorithm, params, found, stats, occurrences)
+        return written(path), series, params, found, stats
+
+    def test_header(self, run, request):
+        payload = run[0]
+        assert payload["schema_version"] == REPORT_SCHEMA_VERSION
+        assert payload["tool_version"] == __version__
+        assert payload["dataset"] == request.node.callspec.params["run"]
+        assert payload["algorithm"] in ALGORITHMS
+
+    def test_params_are_the_run_params(self, run):
+        payload, _, params, _, _ = run
+        assert payload["params"] == asdict(params)
+        assert all(type(v) is int and v >= 0 for v in payload["params"].values() if v is not None)
+
+    def test_ranks_are_patterns(self, run):
+        for entry in run[0]["patterns"]:
+            assert validate_pattern(entry["ranks"]) == tuple(entry["ranks"])
+
+    def test_support_counts_the_occurrences(self, run):
+        payload, _, params, _, _ = run
+        for entry in payload["patterns"]:
+            assert type(entry["support"]) is int and entry["support"] >= params.minsup
+            if "occurrences" in entry:
+                assert entry["support"] == len(entry["occurrences"])
+
+    def test_occurrences_are_window_starts_in_ascending_order(self, run):
+        payload, series, _, _, _ = run
+        for entry in payload["patterns"]:
+            positions = entry.get("occurrences", [])
+            assert all(type(p) is int for p in positions)
+            assert positions == sorted(set(positions))
+            last_start = len(series) - len(entry["ranks"]) + 1
+            assert all(1 <= p <= last_start for p in positions)
+
+    def test_patterns_in_strictly_ascending_length_rank_order(self, run):
+        keys = [(len(entry["ranks"]), entry["ranks"]) for entry in run[0]["patterns"]]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    def test_stats_are_the_run_counters(self, run):
+        stats_payload, stats = run[0]["stats"], run[4]
+        by_length = stats_payload["candidates_by_length"]
+        assert [int(k) for k in by_length] == sorted(stats.candidates_generated)
+        assert all(int(k) >= 2 for k in by_length)
+        assert stats_payload["total_candidates"] == sum(by_length.values())
+        assert stats_payload["matching_windows_tested"] == stats.matching_windows_tested
+        assert stats_payload["patterns_pruned_by_count"] == stats.patterns_pruned_by_count
+        counters = [*by_length.values(), *list(stats_payload.values())[1:]]
+        assert all(type(v) is int and v >= 0 for v in counters)
+
+    def test_patterns_are_the_mined_set(self, run):
+        payload, _, _, found, _ = run
+        assert found, "a run that finds nothing checks no entry"
+        if "occurrences" in payload["patterns"][0]:
+            by_ranks = {tuple(e["ranks"]): tuple(e["occurrences"]) for e in payload["patterns"]}
+            assert by_ranks == {k: tuple(v) for k, v in freq_map(found).items()}
+        else:
+            by_ranks = {tuple(e["ranks"]): e["support"] for e in payload["patterns"]}
+            assert by_ranks == {fp.pattern: fp.support for fp in found}
 
 
 class TestBenchTable:

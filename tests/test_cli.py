@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -225,6 +227,21 @@ class TestBenchCommand:
         assert sorted(p.name for p in workdir.iterdir()) == [
             "b.csv", "sample16.csv", "sample16.txt"
         ]
+
+    def test_counters_are_the_golden_file(self, workdir, capsys):
+        # tests/data/sample16.bench.csv holds this command's CSV without its
+        # last column, wall_time_s, the one cell that is not deterministic
+        argv = ["bench", *MINE_FLAGS, "--algorithms", "aop,nopruning,em,scan_em,oracle",
+                "--max-length", "5"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        text = (workdir / "sample16.bench.csv").read_text()
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        golden = (DATA_DIR / "sample16.bench.csv").read_text()
+        assert "".join(",".join(row[:-1]) + "\n" for row in rows) == golden
+        assert rows[0][-1] == "wall_time_s"
+        for row in rows[1:]:
+            assert re.fullmatch(r"\d+\.\d{6}", row[-1]), row
 
     @pytest.mark.parametrize("output", ["sample16.out", "b.txt"])
     def test_output_file_holds_only_the_csv(self, workdir, output, capsys):

@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 from typing import Any, Sequence, TextIO
@@ -188,11 +189,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for name in sorted(dict.fromkeys(names), key=lambda name: name != "oracle"):
         times = []
         for _ in range(args.repeat):
+            start = time.perf_counter()
             found, stats = mine(series, config.params, name)
-            times.append(stats.wall_time)
-        stats.wall_time = math.fsum(times) / len(times)
-        runs[name] = found, stats
-    rows = [(name, len(runs[name][0]), runs[name][1]) for name in names]
+            times.append(time.perf_counter() - start)
+        runs[name] = found, stats, math.fsum(times) / len(times)
+    rows = [(name, len(runs[name][0]), *runs[name][1:]) for name in names]
 
     agree = _compare({name: runs[name][0] for name in names}, sys.stderr)
 

@@ -41,6 +41,9 @@ class DatasetSpec:
             raise ConfigError(f"unknown format {self.format!r}; expected one of {FORMATS}")
         if not self.name:
             object.__setattr__(self, "name", path.stem)
+        # type(...), not isinstance: bool subclasses int, and True would pick column 1
+        if self.column is not None and type(self.column) not in (int, str):
+            raise ConfigError(f"column must be a name or a 0-based index, got {self.column!r}")
         if isinstance(self.column, int) and self.column < 0:
             raise ConfigError(f"column index must be >= 0, got {self.column}")
         if self.column is not None and self.format == "plain":
@@ -65,6 +68,8 @@ def load_series(spec: DatasetSpec) -> TimeSeries:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}:{_undecodable_line(exc)}: not UTF-8 text") from None
     if spec.format == "plain":
         values = _parse_plain(text, path)
     else:
@@ -72,6 +77,13 @@ def load_series(spec: DatasetSpec) -> TimeSeries:
     if not values:
         raise DataError(f"{path}: empty series")
     return TimeSeries(tuple(values), name=spec.name)
+
+
+def _undecodable_line(exc: UnicodeDecodeError) -> int:
+    """The line, numbered as ``str.splitlines`` does, of the first byte that is
+    not UTF-8. ``exc.start`` counts in ``exc.object``, the bytes after any
+    byte-order mark, so the line is counted there too."""
+    return len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
 
 
 def _parse_plain(text: str, path: Path) -> list[float]:
@@ -154,7 +166,8 @@ def _convert_bool(value: str) -> bool:
 
 
 def _convert_column(value: str) -> int | str:
-    return int(value, 10) if value.lstrip("-").isdigit() else value
+    # isdecimal, not isdigit: int() refuses digits such as "²", a header name
+    return int(value, 10) if value.removeprefix("-").isdecimal() else value
 
 
 def _one_of(choices: tuple[str, ...]) -> Callable[[str], str]:
@@ -192,6 +205,8 @@ def parse_config(path: str | Path) -> dict[str, Any]:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}:{_undecodable_line(exc)}: not UTF-8 text") from None
     values: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -20,7 +20,6 @@ sorted output.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -39,23 +38,18 @@ RankMemo = tuple[list, Optional[list], dict]  # (shapes, shorter, composition ke
 
 @dataclass
 class MiningStats:
-    """Counters instrumenting one mining run.
-
-    ``wall_time`` is informational only: it is excluded from determinism
-    guarantees and from equality, and it is never written to a report. The
-    counters are the reproducible performance proxies.
-    """
+    """The deterministic counters of one mining run: equal inputs give equal stats
+    on any hardware. No clock is read; ``bench`` times each ``mine`` call itself."""
 
     candidates_generated: dict[int, int] = field(default_factory=dict)
     matching_windows_tested: int = 0
     patterns_pruned_by_count: int = 0
-    wall_time: float = field(default=0.0, compare=False)
 
     @property
     def total_candidates(self) -> int:
         return sum(self.candidates_generated.values())
 
-    def count_candidate(self, length: int, n: int = 1) -> None:
+    def count_candidate(self, length: int, n: int) -> None:
         self.candidates_generated[length] = self.candidates_generated.get(length, 0) + n
 
 
@@ -342,7 +336,6 @@ def mine(
     if kind not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {kind!r}; expected one of {ALGORITHMS}")
     stats = MiningStats()
-    start = time.perf_counter()
     if kind == "oracle":
         found = list(_mine_oracle(series, params, stats))
     else:
@@ -366,7 +359,6 @@ def mine(
             if memo is not None:
                 memo = rank_memo(n, memo[0])
             level = alar(level, series, params, stats, kind, memo)
-    stats.wall_time = time.perf_counter() - start
     return tuple(found), stats  # levels arrive in length order, each one sorted
 
 

@@ -2,8 +2,8 @@
 
 The JSON report schema and the bench CSV schema are documented in
 docs/formats.md; any change to them bumps REPORT_SCHEMA_VERSION. Reports
-serialize byte-identically for identical runs: key order is fixed and wall
-time stays out of the JSON (it is hardware noise, not a result).
+serialize byte-identically for identical runs: key order is fixed and every
+value is deterministic. The one timing, bench's ``wall_time_s``, is the caller's.
 """
 
 from __future__ import annotations
@@ -106,10 +106,10 @@ def _write_ints(fh: TextIO, values: Sequence[int]) -> None:
     fh.write("\n      ]" if values else "]")
 
 
-def write_bench(rows: Iterable[tuple[str, int, MiningStats]], path: str | Path) -> None:
+def write_bench(rows: Iterable[tuple[str, int, MiningStats, float]], path: str | Path) -> None:
     """Write the benchmark table as CSV, one row per algorithm.
 
-    Each row is (algorithm, pattern count, that run's stats).
+    Each row is (algorithm, pattern count, one run's stats, mean seconds per run).
     """
     path = Path(path)
     try:
@@ -122,7 +122,7 @@ def write_bench(rows: Iterable[tuple[str, int, MiningStats]], path: str | Path) 
         raise DataError(f"cannot write bench table {path}: {exc}") from exc
 
 
-def bench_table(rows: Iterable[tuple[str, int, MiningStats]]) -> list[str]:
+def bench_table(rows: Iterable[tuple[str, int, MiningStats, float]]) -> list[str]:
     """The bench CSV's cells as aligned text lines: header, rule, one per row."""
     cells = [list(BENCH_COLUMNS)] + [_bench_cells(*row) for row in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(BENCH_COLUMNS))]
@@ -131,16 +131,16 @@ def bench_table(rows: Iterable[tuple[str, int, MiningStats]]) -> list[str]:
     return lines
 
 
-def _bench_cells(algorithm: str, pattern_count: int, stats: MiningStats) -> list[str]:
+def _bench_cells(algorithm: str, patterns: int, stats: MiningStats, seconds: float) -> list[str]:
     by_length = " ".join(
         f"{length}:{count}" for length, count in sorted(stats.candidates_generated.items())
     )
     return [
         algorithm,
-        str(pattern_count),
+        str(patterns),
         by_length,
         str(stats.total_candidates),
         str(stats.matching_windows_tested),
         str(stats.patterns_pruned_by_count),
-        f"{stats.wall_time:.6f}",
+        f"{seconds:.6f}",
     ]

@@ -153,6 +153,24 @@ class TestMineCommand:
         assert exc.value.code == 1
         assert "must be >= 1, got 0" in capsys.readouterr().err
 
+    def test_not_utf8_series_exits_2_and_config_exits_1(self, workdir, capsys):
+        (workdir / "bad.txt").write_bytes(b"1\n2\n3\xff\n")
+        assert main(["mine", "--input", "bad.txt", "--minsup", "1"]) == 2
+        assert capsys.readouterr().err == "error: bad.txt:3: not UTF-8 text\n"
+        (workdir / "bad.conf").write_bytes(b"minsup = 4\n# caf\xe9\n")
+        assert main(["mine", *MINE_FLAGS, "--config", "bad.conf"]) == 1
+        assert capsys.readouterr().err == "error: bad.conf:2: not UTF-8 text\n"
+        assert not list(workdir.glob("*.report.json"))
+
+    def test_superscript_header_is_a_column_name(self, workdir, capsys):
+        (workdir / "sup.csv").write_text(
+            "²\n" + (workdir / "sample16.txt").read_text(), encoding="utf-8"
+        )
+        argv = ["mine", "--input", "sup.csv", "--column", "²", "--delta", "1", "--gamma", "2",
+                "--minsup", "4", "--output", "sup.json"]
+        assert main(argv) == 0
+        assert "patterns found: 11" in capsys.readouterr().out
+
     def test_negative_column_exits_1(self, workdir, capsys):
         # -1 would silently pick the last column; -5 is past the first of two
         for column in ("-1", "-5"):
@@ -296,6 +314,25 @@ class TestBenchCommand:
         code = main(["bench", *MINE_FLAGS, "--algorithms", "aop", "--repeat", "3",
                      "--output", "b.csv"])
         assert code == 0
+
+    def test_wall_time_is_the_mean_over_repeats(self, workdir, monkeypatch, capsys):
+        # a fake clock that only mine moves: the two runs take 1 s and 3 s
+        import aopmine.cli as cli
+
+        now, durations = [0.0], iter([1.0, 3.0])
+        real_mine = cli.mine
+
+        def timed_mine(series, params, kind="aop"):
+            now[0] += next(durations)
+            return real_mine(series, params, kind)
+
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: now[0])
+        monkeypatch.setattr(cli, "mine", timed_mine)
+        argv = ["bench", *MINE_FLAGS, "--algorithms", "aop", "--repeat", "2", "--output", "b.csv"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader((workdir / "b.csv").read_text().splitlines()))
+        assert [row["wall_time_s"] for row in rows] == ["2.000000"]
+        assert table_rows(capsys.readouterr().out)["aop"].split()[-1] == "2.000000"
 
     def test_unknown_algorithm_exits_1(self, workdir, capsys):
         assert main(["bench", *MINE_FLAGS, "--algorithms", "aop,warp"]) == 1

@@ -11,6 +11,7 @@ from aopmine.ingest import (
     _BLOCK,
     _CONFIG_KEYS,
     DatasetSpec,
+    _convert_column,
     build_run_config,
     load_series,
     parse_config,
@@ -209,6 +210,70 @@ class TestLoadCsv:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown format"):
             DatasetSpec(tmp_path / "x.dat", format="parquet")
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 is refused with its path and the line of the
+    first bad byte; a series file is a data error, a config file a config error."""
+
+    @pytest.mark.parametrize(
+        "name, data, line",
+        [
+            ("series.txt", b"1\n2\n3\xff\n", 3),
+            ("series.txt", b"\xff1\n", 1),
+            ("series.txt", b"1\r\n2\r\n\xe93\r\n", 3),
+            ("series.txt", b"1\r2\r\xff\r", 3),
+            # the byte-order mark is not counted into the line
+            ("bom.txt", b"\xef\xbb\xbf1\n2\n3\xff\n", 3),
+            ("data.csv", b"close,vol\n1,2\n3,\xff\n", 3),
+            ("bom.csv", b"\xef\xbb\xbfclose\n1\n2\n\xc3\n", 4),
+        ],
+    )
+    def test_series_names_the_line(self, tmp_path, name, data, line):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(DataError) as exc:
+            load_series(DatasetSpec(path))
+        assert str(exc.value) == f"{path}:{line}: not UTF-8 text"
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"minsup = 2\ninput = \xe9.txt\n", 2), (b"\xef\xbb\xbf\xffminsup = 2\n", 1)],
+        ids=["plain", "bom"],
+    )
+    def test_config_names_the_line(self, tmp_path, data, line):
+        path = tmp_path / "run.conf"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        assert str(exc.value) == f"{path}:{line}: not UTF-8 text"
+
+
+class TestColumnChoice:
+    @pytest.mark.parametrize(
+        "raw, column",
+        [("0", 0), ("12", 12), ("-1", -1), ("close", "close"), ("²", "²"), ("-²", "-²"),
+         ("--1", "--1"), ("1.5", "1.5")],
+    )
+    def test_only_decimal_digits_make_an_index(self, raw, column):
+        assert _convert_column(raw) == column
+
+    def test_superscript_header_is_a_name(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x,²\n1,5\n2,7\n", encoding="utf-8")
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"input = {path}\ncolumn = ²\nminsup = 1\n", encoding="utf-8")
+        spec = build_run_config(parse_config(cfg)).dataset
+        assert spec.column == "²"
+        assert load_series(spec).values == (5.0, 7.0)
+
+    @pytest.mark.parametrize("column", [True, False, 1.0, b"close"])
+    def test_column_of_another_type_rejected(self, tmp_path, column):
+        # bool subclasses int: True would silently pick column 1, and the
+        # others failed later with a TypeError
+        message = f"column must be a name or a 0-based index, got {column!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            DatasetSpec(tmp_path / "data.csv", column=column)
 
 
 class TestDatasetSpec:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import weakref
@@ -573,6 +574,16 @@ class TestMineGolden:
         found, _ = mine(sample_series, sample_params)
         keys = [(len(fp.pattern), fp.pattern) for fp in found]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("kind", MINERS)
+    def test_stats_are_only_deterministic_counters(self, kind, sample_series, sample_params):
+        # no clock reading rides along: two runs of one input give equal stats
+        names = [f.name for f in dataclasses.fields(MiningStats)]
+        assert names == ["candidates_generated", "matching_windows_tested",
+                         "patterns_pruned_by_count"]
+        assert mine(sample_series, sample_params, kind) == mine(
+            sample_series, sample_params, kind
+        )
 
 
 class TestMineEdges:

@@ -251,7 +251,7 @@ class TestBenchTable:
         # length-4 candidates where enumeration emits 8
         fused = MiningStats(candidates_generated={4: 3})
         enumerated = MiningStats(candidates_generated={4: 8})
-        return [("aop", 11, fused), ("em", 11, enumerated)]
+        return [("aop", 11, fused, 0.25), ("em", 11, enumerated, 1.5)]
 
     def test_csv_content(self, tmp_path):
         path = tmp_path / "bench.csv"
@@ -262,6 +262,7 @@ class TestBenchTable:
         assert rows[0]["total_candidates"] == "3"
         assert rows[1]["total_candidates"] == "8"
         assert rows[0]["candidates_by_length"] == "4:3"
+        assert [row["wall_time_s"] for row in rows] == ["0.250000", "1.500000"]
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(DataError, match=r"cannot write bench table .*bench\.csv"):
@@ -291,7 +292,7 @@ class TestBenchTable:
         rows = []
         for kind in ("aop", "scan_em"):
             found, stats = mine(sample_series, sample_params, kind)
-            rows.append((kind, len(found), stats))
+            rows.append((kind, len(found), stats, 0.0))
         write_bench(rows, tmp_path / "bench.csv")
         assert rows[0][2].matching_windows_tested < rows[1][2].matching_windows_tested
 

@@ -172,7 +172,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    names = [token.strip() for token in args.algorithms.split(",") if token.strip()]
+    # a repeated name is one run and one row, at its first mention
+    names = list(dict.fromkeys(filter(None, map(str.strip, args.algorithms.split(",")))))
     if not names:
         raise ConfigError("--algorithms needs at least one name")
     for name in names:
@@ -186,7 +187,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     series = load_series(config.dataset)
     runs = {}
     # the oracle first: it refuses an intractable max length before any mining
-    for name in sorted(dict.fromkeys(names), key=lambda name: name != "oracle"):
+    for name in sorted(names, key=lambda name: name != "oracle"):
         times = []
         for _ in range(args.repeat):
             start = time.perf_counter()

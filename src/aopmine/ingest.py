@@ -64,8 +64,8 @@ class RunConfig:
 def load_series(spec: DatasetSpec) -> TimeSeries:
     """Read one numeric series from disk, preserving sample order."""
     path = spec.path
-    try:
-        text = path.read_text(encoding="utf-8-sig")
+    try:  # not read_text: its incremental decoder drops a truncated byte-order mark
+        text = path.read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -201,8 +201,8 @@ def parse_config(path: str | Path) -> dict[str, Any]:
     ignored; keys may not repeat.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
+    try:  # decoded as in load_series
+        text = path.read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

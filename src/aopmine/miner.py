@@ -39,7 +39,8 @@ RankMemo = tuple[list, Optional[list], dict]  # (shapes, shorter, composition ke
 @dataclass
 class MiningStats:
     """The deterministic counters of one mining run: equal inputs give equal stats
-    on any hardware. No clock is read; ``bench`` times each ``mine`` call itself."""
+    on any hardware. ``_confirm`` charges every candidate group to them (the oracle
+    miner sets its own); no clock is read, and ``bench`` times each ``mine`` call."""
 
     candidates_generated: dict[int, int] = field(default_factory=dict)
     matching_windows_tested: int = 0
@@ -48,9 +49,6 @@ class MiningStats:
     @property
     def total_candidates(self) -> int:
         return sum(self.candidates_generated.values())
-
-    def count_candidate(self, length: int, n: int) -> None:
-        self.candidates_generated[length] = self.candidates_generated.get(length, 0) + n
 
 
 def rank_memo(n: int, shorter: list | None = None) -> RankMemo:
@@ -67,13 +65,13 @@ def matching(
     t: Pattern,
     series: TimeSeries,
     params: MiningParams,
-    stats: MiningStats | None = None,
+    *,
     screened: bool = False,
     index: tuple[list[RankVector], list[RankVector]] | None = None,
 ) -> OccurrenceSet:
     """Filter ascending candidate start positions down to true occurrences of ``t``.
 
-    Every candidate is charged to the matching-window counter. Candidates
+    A pure function: it charges no counter (``_confirm`` does). Candidates
     must be in ascending order, as screened lists, ranges and fitting prefix
     positions are, so only the first and the last are checked: a window that
     would run off the series is a caller bug and raises.
@@ -97,8 +95,6 @@ def matching(
     if not isinstance(candidates, (tuple, list, range)):
         candidates = tuple(candidates)
     _require_windows(candidates, m, len(vals))
-    if stats is not None:
-        stats.matching_windows_tested += len(candidates)
     if screened and params.delta == 0:
         if abs(t[0] - t[-1]) != 1:  # t is its parents' one child, so every window's shape
             return tuple(candidates)
@@ -200,7 +196,8 @@ def checking(
 
     Candidate positions come from screening the parents' occurrence lists.
     If fewer than minsup survive, the pattern is pruned without touching the
-    series; otherwise matching confirms the survivors by their shapes.
+    series; otherwise matching confirms the survivors by their shapes. ``stats``
+    is charged as ``alar`` charges a one-child group.
     """
     if stats is None:
         stats = MiningStats()
@@ -217,24 +214,30 @@ def _confirm(
     stats: MiningStats,
     ranks: RankMemo | None,
 ) -> list[FrequentPattern]:
-    """The prune-and-match step for candidates that share candidate positions.
+    """The prune-and-match step for candidates that share candidate positions,
+    and the one place a run's counters are charged.
 
-    With ``prune`` set and fewer than minsup positions, every child is counted
-    as pruned and the series is not touched; otherwise each child is matched
-    at the positions and kept if it reaches minsup. Given the level's memo
-    ``ranks``, the children share one ``_shape_index``; given none, the level
-    is exact fusion (``_reads_shapes``) and ``matching`` decides by sign.
+    Every child counts as a candidate of its length. With ``prune`` set and
+    fewer than minsup positions, every child is counted as pruned and the
+    series is not touched; otherwise each child is matched at the positions,
+    charging them all to the windows tested, and kept if it reaches minsup.
+    Given the level's memo ``ranks``, the children share one ``_shape_index``;
+    given none, the level is exact fusion (``_reads_shapes``) and ``matching``
+    decides by sign.
     """
+    m = len(children[0])
+    stats.candidates_generated[m] = stats.candidates_generated.get(m, 0) + len(children)
     if prune and len(positions) < params.minsup:
         stats.patterns_pruned_by_count += len(children)
         return []
     index = None
     if ranks is not None:
-        _require_windows(positions, len(children[0]), len(series))
-        index = _shape_index(positions, len(children[0]), series.values, ranks)
+        _require_windows(positions, m, len(series))
+        index = _shape_index(positions, m, series.values, ranks)
+    stats.matching_windows_tested += len(positions) * len(children)
     found = []
     for t in children:
-        a_t = matching(positions, t, series, params, stats, ranks is None, index)
+        a_t = matching(positions, t, series, params, screened=ranks is None, index=index)
         if len(a_t) >= params.minsup:
             found.append(FrequentPattern(t, a_t))
     return found
@@ -315,7 +318,6 @@ def alar(
         ranks = rank_memo(len(series))
     found = []
     for children, positions in groups(tuple(level), len(series)):
-        stats.count_candidate(len(children[0]), len(children))
         found.extend(_confirm(children, positions, prune, series, params, stats, ranks))
     return tuple(sorted(found, key=lambda fp: fp.pattern))
 
@@ -350,7 +352,6 @@ def mine(
             # memo; the others match every level by sign and keep no memo
             if _reads_shapes(kind, params):
                 memo = _length2_memo(series.values)
-            stats.count_candidate(2, 2)
             level = _confirm(((1, 2), (2, 1)), range(1, n), False, series, params, stats, memo)
         while level:
             found.extend(level)
@@ -380,7 +381,6 @@ def _mine_oracle(
     n = len(series.values)
     for m in range(2, params.max_len + 1):
         windows = max(0, n - m + 1)
-        count = math.factorial(m)
-        stats.count_candidate(m, count)
+        count = stats.candidates_generated[m] = math.factorial(m)
         stats.matching_windows_tested += count * windows
     return found

@@ -16,16 +16,11 @@ from .core import Pattern, RankVector
 
 @dataclass(frozen=True)
 class FusionResult:
-    """Superpatterns produced by fusing one ordered pattern pair.
-
-    ``case_tag`` records which arm of the construction fired: 1 when the left
-    pattern's head outranks the right pattern's tail (one result), 2 when the
-    two tie (both resolutions are emitted, two results), and 3 when the head
-    ranks below the tail (one result).
-    """
+    """Superpatterns produced by fusing one ordered pattern pair: one when the
+    left pattern's head and the right pattern's tail differ, two (head-wins
+    first) when they tie."""
 
     produced: tuple[Pattern, ...]
-    case_tag: int
 
 
 def prefixorder(p: Pattern) -> RankVector:
@@ -82,7 +77,7 @@ def fuse(p: Pattern, q: Pattern) -> FusionResult:
         produced.append((head + 1, *[v + 1 if v > head else v for v in q]))
     if head <= tail:
         produced.append((*[v + 1 if v > tail else v for v in p], tail + 1))
-    return FusionResult(tuple(produced), 2 + (head < tail) - (head > tail))
+    return FusionResult(tuple(produced))
 
 
 def enumerate_extensions(p: Pattern) -> tuple[Pattern, ...]:

@@ -162,6 +162,18 @@ class TestMineCommand:
         assert capsys.readouterr().err == "error: bad.conf:2: not UTF-8 text\n"
         assert not list(workdir.glob("*.report.json"))
 
+    def test_truncated_byte_order_mark_is_not_utf8(self, workdir, capsys):
+        # a file of only the first bytes of a byte-order mark is neither an
+        # empty series nor an empty config
+        for data in (b"\xef", b"\xef\xbb"):
+            (workdir / "ef.txt").write_bytes(data)
+            assert main(["mine", "--input", "ef.txt", "--minsup", "1"]) == 2
+            assert capsys.readouterr().err == "error: ef.txt:1: not UTF-8 text\n"
+        (workdir / "ef.conf").write_bytes(b"\xef\xbb")
+        assert main(["mine", *MINE_FLAGS, "--config", "ef.conf"]) == 1
+        assert capsys.readouterr().err == "error: ef.conf:1: not UTF-8 text\n"
+        assert not list(workdir.glob("*.report.json"))
+
     def test_superscript_header_is_a_column_name(self, workdir, capsys):
         (workdir / "sup.csv").write_text(
             "²\n" + (workdir / "sample16.txt").read_text(), encoding="utf-8"
@@ -225,6 +237,27 @@ class TestMineCommand:
 
 
 class TestBenchCommand:
+    def test_repeated_algorithm_is_listed_once(self, workdir, capsys, monkeypatch):
+        # one run and one row per name, in first-mention order
+        import aopmine.cli as cli
+
+        runs = []
+        real_mine = cli.mine
+
+        def recorded_mine(series, params, kind="aop"):
+            runs.append(kind)
+            return real_mine(series, params, kind)
+
+        monkeypatch.setattr(cli, "mine", recorded_mine)
+        argv = ["bench", *MINE_FLAGS, "--algorithms", "em, aop,em,aop", "--output", "b.csv"]
+        assert main(argv) == 0
+        assert runs == ["em", "aop"]
+        rows = list(csv.DictReader((workdir / "b.csv").read_text().splitlines()))
+        assert [row["algorithm"] for row in rows] == ["em", "aop"]
+        out = capsys.readouterr().out
+        assert list(table_rows(out)) == ["em", "aop"]
+        assert len(out.splitlines()) == 5  # header, rule, two rows, the path
+
     def test_two_algorithms(self, workdir, capsys):
         code = main(["bench", *MINE_FLAGS, "--algorithms", "aop,em", "--output", "b.csv"])
         assert code == 0

@@ -21,7 +21,6 @@ import random
 
 from aopmine import (
     MiningParams,
-    MiningStats,
     TimeSeries,
     compute_ranks,
     fuse,
@@ -148,21 +147,19 @@ def test_every_fusion_child_knows_its_pair_and_its_tie():
 
 def test_exact_sign_path_equals_general_path(monkeypatch):
     # at delta = 0 each fusion pair's children are matched without ranking;
-    # each such call must return, and count, what the memo path does on the
-    # same candidates, and every strategy must still equal the reference
+    # each such call must return what the memo path does on the same
+    # candidates, and every strategy must still equal the reference
     import aopmine.miner as miner
 
     real_matching = miner.matching
     paired = []
 
-    def both_paths(candidates, t, series, params, stats=None, screened=False, index=None):
-        found = real_matching(candidates, t, series, params, stats, screened, index)
+    def both_paths(candidates, t, series, params, *, screened=False, index=None):
+        found = real_matching(candidates, t, series, params, screened=screened, index=index)
         if screened:
             paired.append(t)
-            signed, general = MiningStats(), MiningStats()
-            assert real_matching(candidates, t, series, params, signed, True) == found
-            assert real_matching(candidates, t, series, params, general) == found, t
-            assert signed == general
+            assert real_matching(candidates, t, series, params, screened=True) == found
+            assert real_matching(candidates, t, series, params) == found, t
         return found
 
     monkeypatch.setattr(miner, "matching", both_paths)

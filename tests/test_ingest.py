@@ -227,6 +227,9 @@ class TestNotUtf8:
             ("bom.txt", b"\xef\xbb\xbf1\n2\n3\xff\n", 3),
             ("data.csv", b"close,vol\n1,2\n3,\xff\n", 3),
             ("bom.csv", b"\xef\xbb\xbfclose\n1\n2\n\xc3\n", 4),
+            # the first one or two bytes of a byte-order mark, and nothing else
+            ("ef.txt", b"\xef", 1),
+            ("efbb.txt", b"\xef\xbb", 1),
         ],
     )
     def test_series_names_the_line(self, tmp_path, name, data, line):
@@ -238,8 +241,12 @@ class TestNotUtf8:
 
     @pytest.mark.parametrize(
         "data, line",
-        [(b"minsup = 2\ninput = \xe9.txt\n", 2), (b"\xef\xbb\xbf\xffminsup = 2\n", 1)],
-        ids=["plain", "bom"],
+        [
+            (b"minsup = 2\ninput = \xe9.txt\n", 2),
+            (b"\xef\xbb\xbf\xffminsup = 2\n", 1),
+            (b"\xef\xbb", 1),
+        ],
+        ids=["plain", "bom", "truncated-bom"],
     )
     def test_config_names_the_line(self, tmp_path, data, line):
         path = tmp_path / "run.conf"
@@ -247,6 +254,13 @@ class TestNotUtf8:
         with pytest.raises(ConfigError) as exc:
             parse_config(path)
         assert str(exc.value) == f"{path}:{line}: not UTF-8 text"
+
+    def test_a_whole_byte_order_mark_alone_is_an_empty_series(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf")
+        with pytest.raises(DataError) as exc:
+            load_series(DatasetSpec(path))
+        assert str(exc.value) == f"{path}: empty series"
 
 
 class TestColumnChoice:

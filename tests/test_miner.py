@@ -85,17 +85,19 @@ def _merge_screen(a_p, a_q):
 
 class TestMatching:
     def test_screened_candidates(self, sample_series, sample_params):
-        stats = MiningStats()
-        got = matching((3, 6, 11), (2, 3, 1, 5, 4), sample_series, sample_params, stats)
+        got = matching((3, 6, 11), (2, 3, 1, 5, 4), sample_series, sample_params)
         assert got == (6, 11)
-        assert stats.matching_windows_tested == 3
 
     def test_iterator_candidates_equal_a_tuple(self, sample_series, sample_params):
-        stats = MiningStats()
         t = (2, 3, 1, 5, 4)
-        got = matching(iter((3, 6, 11)), t, sample_series, sample_params, stats)
+        got = matching(iter((3, 6, 11)), t, sample_series, sample_params)
         assert got == matching((3, 6, 11), t, sample_series, sample_params) == (6, 11)
-        assert stats.matching_windows_tested == 3
+
+    def test_screened_and_index_are_keyword_only(self, sample_series, sample_params):
+        # a fifth positional argument (once a stats object) must not bind to
+        # screened, which at delta = 0 would take the sign path unchecked
+        with pytest.raises(TypeError):
+            matching((3, 6, 11), (2, 3, 1, 5, 4), sample_series, sample_params, MiningStats())
 
     def test_empty_candidates(self, sample_series, sample_params):
         assert matching((), (2, 3, 1, 5, 4), sample_series, sample_params) == ()
@@ -138,10 +140,8 @@ class TestMatching:
         # adjacent, so its parents have two children and the sign decides
         series = _three_symbols(3, 60) if tied else _gaussian_walk(3, 60)
         params = MiningParams(delta=0, gamma=0, minsup=1)
-        from_range, from_tuple = MiningStats(), MiningStats()
-        got = matching(positions, t, series, params, from_range, screened=True)
-        assert got == matching(tuple(positions), t, series, params, from_tuple, screened=True)
-        assert from_range == from_tuple
+        got = matching(positions, t, series, params, screened=True)
+        assert got == matching(tuple(positions), t, series, params, screened=True)
 
     @pytest.mark.parametrize("tie_free", [True, False])
     @pytest.mark.parametrize("delta", [0, 1, 2])
@@ -161,14 +161,12 @@ class TestMatching:
             positions = range(1, len(vals) - m + 2)
             for t in itertools.permutations(range(1, m + 1)):
                 candidates = sorted(rng.sample(positions, len(positions) // 2))
-                stats = MiningStats()
                 index = _shape_index(candidates, m, vals, ranks)
-                got = matching(candidates, t, series, params, stats, index=index)
+                got = matching(candidates, t, series, params, index=index)
                 expected = tuple(
                     x for x in candidates if is_occurrence(t, vals[x - 1 : x - 1 + m], params)
                 )
                 assert got == expected
-                assert stats.matching_windows_tested == len(candidates)
 
     @pytest.mark.parametrize("holes", [False, True])
     @pytest.mark.parametrize("tie_free", [True, False])
@@ -238,8 +236,8 @@ def test_children_share_one_shape_index_per_group(kind, delta, tied, monkeypatch
     real_confirm, real_matching = miner._confirm, miner.matching
     calls = []
 
-    def recorded_matching(candidates, t, series, params, stats=None, screened=False, index=None):
-        found = real_matching(candidates, t, series, params, stats, screened, index)
+    def recorded_matching(candidates, t, series, params, *, screened=False, index=None):
+        found = real_matching(candidates, t, series, params, screened=screened, index=index)
         assert found == real_matching(candidates, t, series, params), t
         calls.append((candidates, t, index))
         return found
@@ -265,6 +263,29 @@ def test_children_share_one_shape_index_per_group(kind, delta, tied, monkeypatch
     assert max(groups) > 1  # some group has several children
 
 
+@pytest.mark.parametrize("kind", MINERS)
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("tied", [False, True])
+def test_windows_tested_are_the_positions_of_every_matching_call(kind, delta, tied, monkeypatch):
+    # the level step charges a group's positions once per child it matches,
+    # so the run's total is what matching is handed over all its calls
+    import aopmine.miner as miner
+
+    real_matching = miner.matching
+    handed = []
+
+    def counted_matching(candidates, t, series, params, **keywords):
+        handed.append(len(candidates))
+        return real_matching(candidates, t, series, params, **keywords)
+
+    monkeypatch.setattr(miner, "matching", counted_matching)
+    series = _three_symbols(delta, 150) if tied else _gaussian_walk(delta, 150)
+    params = MiningParams(delta=delta, gamma=2 * delta, minsup=4, max_len=5)
+    _, stats = mine(series, params, kind)
+    assert stats.matching_windows_tested == sum(handed) > 0
+    assert max(stats.candidates_generated) >= 4  # alar grew at least two levels
+
+
 class TestChecking:
     def test_pruned_before_matching(self, sample_series, sample_params):
         # three screened positions < minsup 4: pruned without a window test
@@ -273,6 +294,7 @@ class TestChecking:
             (2, 3, 1, 5, 4), (1, 3, 6, 11), (4, 7, 12, 13), sample_series, sample_params, stats
         )
         assert got is None
+        assert stats.candidates_generated == {5: 1}
         assert stats.patterns_pruned_by_count == 1
         assert stats.matching_windows_tested == 0
 
@@ -285,6 +307,7 @@ class TestChecking:
             (2, 3, 1, 5, 4), (1, 3, 6, 11), (4, 7, 12, 13), sample_series, params, stats
         )
         assert got is None
+        assert stats.candidates_generated == {5: 1}
         assert stats.patterns_pruned_by_count == 0
         assert stats.matching_windows_tested == 3
 

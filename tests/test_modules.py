@@ -77,6 +77,31 @@ def test_oracle_imports_only_core():
     assert own == [".core"]
 
 
+def test_counters_are_charged_only_in_the_level_step_and_the_oracle():
+    # every write to a MiningStats counter, in any module, sits in miner's
+    # _confirm (which sees every candidate group) or _mine_oracle
+    counters = {"candidates_generated", "matching_windows_tested", "patterns_pruned_by_count"}
+    writers = set()
+    for path in MODULES:
+        for func in ast.walk(parse(path)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AugAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    if isinstance(target, ast.Subscript):
+                        target = target.value
+                    if isinstance(target, ast.Attribute) and target.attr in counters:
+                        writers.add(f"{path.stem}.{func.name}")
+    assert writers == {"miner._confirm", "miner._mine_oracle"}
+    assert not hasattr(aopmine.MiningStats, "count_candidate")
+
+
 def test_algorithms_are_the_strategies_then_oracle():
     assert ALGORITHMS == (*STRATEGIES, "oracle")
 

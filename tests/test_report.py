@@ -91,8 +91,7 @@ class TestMiningReport:
         assert "wall" not in path.read_text()
 
     def test_empty_result_keeps_stats(self, sample_params, tmp_path):
-        stats = MiningStats()
-        stats.count_candidate(2, 2)
+        stats = MiningStats(candidates_generated={2: 2})
         path = tmp_path / "out.json"
         write_report(path, "empty", "aop", sample_params, [], stats)
         payload = written(path)

@@ -21,7 +21,6 @@ from .core import (
     gamma_distance,
     is_occurrence,
     scan_occurrences,
-    validate_pattern,
 )
 from .miner import (
     ALGORITHMS,
@@ -76,5 +75,4 @@ __all__ = [
     "scan_occurrences",
     "screen",
     "suffixorder",
-    "validate_pattern",
 ]

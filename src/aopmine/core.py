@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 RankVector = tuple[int, ...]
 Pattern = tuple[int, ...]
@@ -129,14 +129,6 @@ def scan_occurrences(pattern: Pattern, series: TimeSeries, params: MiningParams)
         for t in range(1, len(vals) - m + 2)
         if is_occurrence(pattern, vals[t - 1 : t - 1 + m], params)
     )
-
-
-def validate_pattern(ranks: Iterable[int]) -> Pattern:
-    """Check that ranks are ints, not bools, permuting 1..m with m >= 2; return them."""
-    p = tuple(ranks)
-    if len(p) < 2 or any(type(v) is not int for v in p) or sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"not a pattern (needs a permutation of 1..m, m >= 2): {p!r}")
-    return p
 
 
 def _require_same_length(a: Sequence[int], b: Sequence[int]) -> None:

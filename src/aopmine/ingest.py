@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .core import MiningParams, TimeSeries
 from .errors import ConfigError, DataError
@@ -64,26 +65,28 @@ class RunConfig:
 def load_series(spec: DatasetSpec) -> TimeSeries:
     """Read one numeric series from disk, preserving sample order."""
     path = spec.path
-    try:  # not read_text: its incremental decoder drops a truncated byte-order mark
-        text = path.read_bytes().decode("utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}:{_undecodable_line(exc)}: not UTF-8 text") from None
+    text = _read_text(path, DataError, "cannot read")
     if spec.format == "plain":
         values = _parse_plain(text, path)
     else:
         values = _parse_csv(text, path, spec.column)
     if not values:
         raise DataError(f"{path}: empty series")
-    return TimeSeries(tuple(values), name=spec.name)
+    return TimeSeries(values, name=spec.name)  # its __post_init__ makes the one tuple
 
 
-def _undecodable_line(exc: UnicodeDecodeError) -> int:
-    """The line, numbered as ``str.splitlines`` does, of the first byte that is
-    not UTF-8. ``exc.start`` counts in ``exc.object``, the bytes after any
-    byte-order mark, so the line is counted there too."""
-    return len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+def _read_text(path: Path, error: type[Exception], cannot_read: str) -> str:
+    """The file's text, less any byte-order mark; ``error`` names an unreadable
+    file after ``cannot_read``, and the line of a byte that is not UTF-8."""
+    try:  # not read_text: its incremental decoder drops a truncated byte-order mark
+        return path.read_bytes().decode("utf-8-sig")
+    except OSError as exc:
+        raise error(f"{cannot_read} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # the line as str.splitlines numbers it; exc.start counts in
+        # exc.object, the bytes after any byte-order mark, so count there too
+        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+        raise error(f"{path}:{line}: not UTF-8 text") from None
 
 
 def _parse_plain(text: str, path: Path) -> list[float]:
@@ -110,24 +113,19 @@ def _parse_plain(text: str, path: Path) -> list[float]:
 
 
 def _parse_csv(text: str, path: Path, column: int | str | None) -> list[float]:
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows = []
-    for row in reader:
-        if row and any(cell.strip() for cell in row):
-            rows.append((reader.line_num, row))
-    if not rows:
+    rows = _csv_rows(text, path)
+    first = next(rows, None)
+    if first is None:
         return []
 
     col = 0 if column is None else column
+    first_line, first_row = first
     if isinstance(col, str):
-        header = rows[0][1]
-        if col not in header:
-            raise DataError(f"{path}: column {col!r} not found in header {header}")
-        index = header.index(col)
-        rows = rows[1:]
+        if col not in first_row:
+            raise DataError(f"{path}: column {col!r} not found in header {first_row}")
+        index = first_row.index(col)
     else:
         index = col
-        first_line, first_row = rows[0]
         if index >= len(first_row):
             raise DataError(
                 f"{path}:{first_line}: row has {len(first_row)} columns, need index {index}"
@@ -136,7 +134,9 @@ def _parse_csv(text: str, path: Path, column: int | str | None) -> list[float]:
         try:
             float(first_row[index])
         except ValueError:
-            rows = rows[1:]
+            pass
+        else:
+            rows = itertools.chain((first,), rows)
 
     values = []
     for lineno, row in rows:
@@ -144,6 +144,18 @@ def _parse_csv(text: str, path: Path, column: int | str | None) -> list[float]:
             raise DataError(f"{path}:{lineno}: row has {len(row)} columns, need column {col!r}")
         values.append(_parse_sample(row[index].strip(), path, lineno))
     return values
+
+
+def _csv_rows(text: str, path: Path) -> Iterator[tuple[int, list[str]]]:
+    """Each row holding a non-blank cell, after the number of the line it ends on;
+    a row is parsed only when it is pulled."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                yield reader.line_num, row
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _parse_sample(token: str, path: Path, lineno: int) -> float:
@@ -201,12 +213,7 @@ def parse_config(path: str | Path) -> dict[str, Any]:
     ignored; keys may not repeat.
     """
     path = Path(path)
-    try:  # decoded as in load_series
-        text = path.read_bytes().decode("utf-8-sig")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}:{_undecodable_line(exc)}: not UTF-8 text") from None
+    text = _read_text(path, ConfigError, "cannot read config")
     values: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

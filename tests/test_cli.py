@@ -42,12 +42,12 @@ def subcommand_dests(command: str) -> set[str]:
     return {action.dest for action in sub.choices[command]._actions if action.dest != "help"}
 
 
-def table_rows(out: str) -> dict[str, str]:
-    """The data lines of bench's stdout table, by algorithm."""
+def table_rows(out: str) -> list[tuple[str, str]]:
+    """The data lines of bench's stdout table, in order, as (algorithm, line)."""
     lines = out.splitlines()
     assert lines[0].split() == list(BENCH_COLUMNS)
     assert lines[-1].startswith("bench: ")
-    return {line.split()[0]: line for line in lines[2:-1]}
+    return [(line.split()[0], line) for line in lines[2:-1]]
 
 
 class TestMineCommand:
@@ -61,10 +61,15 @@ class TestMineCommand:
         payload = json.loads((workdir / "sample16.report.json").read_text())
         assert len(payload["patterns"]) == 11
 
-    def test_report_bytes_are_the_golden_file(self, workdir):
-        # tests/data/sample16.report.json was written by this command; any
-        # change to the report's bytes shows here, whatever writes them
-        assert main(["mine", *MINE_FLAGS]) == 0
+    @pytest.mark.parametrize(
+        "series", [["sample16.txt"], ["sample16.csv", "--column", "close"]], ids=["plain", "csv"]
+    )
+    def test_report_bytes_are_the_golden_file(self, workdir, series):
+        # tests/data/sample16.report.json was written by the plain command; any
+        # change to the report's bytes shows here, whatever writes them, and
+        # the CSV holding the same samples must give the same bytes
+        argv = ["mine", "--input", *series, "--delta", "1", "--gamma", "2", "--minsup", "4"]
+        assert main(argv) == 0
         golden = (DATA_DIR / "sample16.report.json").read_bytes()
         assert (workdir / "sample16.report.json").read_bytes() == golden
 
@@ -174,6 +179,15 @@ class TestMineCommand:
         assert capsys.readouterr().err == "error: ef.conf:1: not UTF-8 text\n"
         assert not list(workdir.glob("*.report.json"))
 
+    def test_row_the_csv_module_refuses_exits_2(self, workdir, capsys):
+        limit = csv.field_size_limit()
+        (workdir / "huge.csv").write_text("close\n1\n" + "9" * (limit + 1) + "\n2\n")
+        assert main(["mine", "--input", "huge.csv", "--column", "close", "--minsup", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: huge.csv:3: field larger than field limit ({limit})\n"
+        )
+        assert not list(workdir.glob("*.report.json"))
+
     def test_superscript_header_is_a_column_name(self, workdir, capsys):
         (workdir / "sup.csv").write_text(
             "²\n" + (workdir / "sample16.txt").read_text(), encoding="utf-8"
@@ -254,9 +268,8 @@ class TestBenchCommand:
         assert runs == ["em", "aop"]
         rows = list(csv.DictReader((workdir / "b.csv").read_text().splitlines()))
         assert [row["algorithm"] for row in rows] == ["em", "aop"]
-        out = capsys.readouterr().out
-        assert list(table_rows(out)) == ["em", "aop"]
-        assert len(out.splitlines()) == 5  # header, rule, two rows, the path
+        table = table_rows(capsys.readouterr().out)
+        assert [algorithm for algorithm, _ in table] == ["em", "aop"]
 
     def test_two_algorithms(self, workdir, capsys):
         code = main(["bench", *MINE_FLAGS, "--algorithms", "aop,em", "--output", "b.csv"])
@@ -270,10 +283,10 @@ class TestBenchCommand:
         assert int(aop_cells[3]) <= int(em_cells[3])  # total candidates
         # stdout shows the CSV's rows as a table; no other file is written
         table = table_rows(captured.out)
-        assert sorted(table) == ["aop", "em"]
-        for cells in (aop_cells, em_cells):
-            assert table[cells[0]].split()[1] == "11"
-            assert all(cell in table[cells[0]] for cell in cells)
+        assert [algorithm for algorithm, _ in table] == ["aop", "em"]
+        for (_, line), cells in zip(table, (aop_cells, em_cells)):
+            assert line.split()[1] == "11"
+            assert all(cell in line for cell in cells)
         assert captured.out.splitlines()[-1] == "bench: b.csv"
         assert sorted(p.name for p in workdir.iterdir()) == [
             "b.csv", "sample16.csv", "sample16.txt"
@@ -331,7 +344,7 @@ class TestBenchCommand:
                          MiningParams(delta=1, gamma=2, minsup=4))[0][-1]
         assert (f"  {last.pattern}: em={last.support - 1} aop={last.support}; em only [], "
                 f"aop only [{last.occurrences[-1]}]") in captured.err.splitlines()
-        assert table_rows(captured.out)["em"].split()[1] == "11"
+        assert [line.split()[1] for _, line in table_rows(captured.out)] == ["11", "11"]
 
     def test_diff_stops_after_twenty_lines(self):
         # 30 differing patterns: the first 20 by (length, ranks), then "  ..."
@@ -365,7 +378,8 @@ class TestBenchCommand:
         assert main(argv) == 0
         rows = list(csv.DictReader((workdir / "b.csv").read_text().splitlines()))
         assert [row["wall_time_s"] for row in rows] == ["2.000000"]
-        assert table_rows(capsys.readouterr().out)["aop"].split()[-1] == "2.000000"
+        table = table_rows(capsys.readouterr().out)
+        assert [line.split()[-1] for _, line in table] == ["2.000000"]
 
     def test_unknown_algorithm_exits_1(self, workdir, capsys):
         assert main(["bench", *MINE_FLAGS, "--algorithms", "aop,warp"]) == 1

@@ -13,7 +13,6 @@ from aopmine import (
     gamma_distance,
     is_occurrence,
     scan_occurrences,
-    validate_pattern,
 )
 from conftest import SAMPLE_VALUES
 
@@ -170,9 +169,3 @@ class TestTypes:
 
     def test_delta_gamma_are_independent_bounds(self):
         MiningParams(delta=5, gamma=1, minsup=1)  # delta > gamma is allowed
-
-    def test_validate_pattern(self):
-        assert validate_pattern([2, 1, 3]) == (2, 1, 3)
-        for bad in ((1,), (1, 1), (1, 3), (0, 1), [True, 2], ["2", 1.9], [2.0, 1]):
-            with pytest.raises(ValueError, match="not a pattern"):
-                validate_pattern(bad)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
+import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -161,6 +164,32 @@ class TestLoadCsv:
         path.write_text("v\n1\nbad\n")
         with pytest.raises(DataError, match=r":3.*'bad'"):
             load_series(DatasetSpec(path, column="v"))
+
+    def test_row_the_csv_module_refuses_names_its_line(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "data.csv"
+        path.write_text("close\n1\n" + "9" * (limit + 1) + "\n2\n")
+        with pytest.raises(DataError) as exc:
+            load_series(DatasetSpec(path, column="close"))
+        assert str(exc.value) == f"{path}:3: field larger than field limit ({limit})"
+
+    def test_rows_are_parsed_as_they_are_read(self, tmp_path):
+        # no list of every row: the load peaks below 12 bytes per byte of the
+        # file, where a list of the rows took over 20
+        rng = random.Random(0)
+        values = [round(rng.gauss(0, 100), 3) for _ in range(20_000)]
+        path = tmp_path / "data.csv"
+        path.write_text("t,close\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values)))
+        plain = tmp_path / "series.txt"
+        plain.write_text("".join(f"{v}\n" for v in values))
+        tracemalloc.start()
+        try:
+            series = load_series(DatasetSpec(path, column="close"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * path.stat().st_size
+        assert series.values == load_series(DatasetSpec(plain)).values
 
     def test_short_row(self, tmp_path):
         path = tmp_path / "data.csv"

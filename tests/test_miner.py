@@ -769,16 +769,22 @@ class TestMineProperties:
                 window = sample_series.values[pos - 1 : pos - 1 + m]
                 assert is_occurrence(fp.pattern, window, sample_params)
 
-    def test_counter_dominance(self, sample_series, sample_params):
-        runs = {kind: mine(sample_series, sample_params, kind)[1] for kind in MINERS}
+    @pytest.mark.parametrize(
+        "series, params",
+        [
+            (TimeSeries(SAMPLE_VALUES), MiningParams(delta=1, gamma=2, minsup=4)),
+            (_gaussian_walk(0, 800), MiningParams(delta=2, gamma=4, minsup=20, max_len=5)),
+        ],
+        ids=["sample", "walk-800"],
+    )
+    def test_counter_dominance(self, series, params):
+        runs = {kind: mine(series, params, kind)[1] for kind in MINERS}
         for length, count in runs["aop"].candidates_generated.items():
             assert count <= runs["em"].candidates_generated.get(length, 0)
         assert runs["aop"].total_candidates <= runs["em"].total_candidates
-        assert (
-            runs["aop"].matching_windows_tested
-            <= runs["nopruning"].matching_windows_tested
-            <= runs["scan_em"].matching_windows_tested
-        )
+        windows = {kind: stats.matching_windows_tested for kind, stats in runs.items()}
+        assert windows["aop"] <= windows["nopruning"] <= windows["scan_em"]
+        assert windows["aop"] <= windows["em"] <= windows["scan_em"]
 
     def test_scan_em_window_count_is_definitional(self, sample_series, sample_params):
         # bootstrap 2*(n-1), then per level: candidates * (n - len + 1)

@@ -11,33 +11,78 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 RankVector = tuple[int, ...]
 Pattern = tuple[int, ...]
 OccurrenceSet = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """An ordered sequence of finite numeric samples with an optional label."""
+class Record:
+    """A read-only value whose fields are named in ``__slots__``.
 
-    values: tuple[float, ...]
-    name: str | None = None
+    ``_fields`` lists them in declaration order, a subclass's after its base's.
+    Records of one class are equal when their fields are, hash as their field
+    tuple and print as ``Name(field=value, ...)``; a record never equals one of
+    another class. Fields are set once, by ``__init__`` through ``_fill``, and
+    assigning or deleting one raises ``AttributeError``. Pickle and ``copy``
+    rebuild a record by calling its class with its fields.
+    """
 
-    def __post_init__(self) -> None:
-        vals = tuple(map(float, self.values))
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+
+    def _fill(self, *values: object) -> None:
+        """Set the fields, in ``_fields`` order."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class TimeSeries(Record):
+    """An ordered sequence of finite numeric samples with an optional label;
+    ``values`` is the samples as a tuple of floats."""
+
+    __slots__ = ("values", "name")
+
+    def __init__(self, values: Iterable[float], name: str | None = None) -> None:
+        vals = tuple(map(float, values))
         if not all(map(math.isfinite, vals)):
             raise ValueError("non-finite sample")
-        object.__setattr__(self, "values", vals)
+        self._fill(vals, name)
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class MiningParams:
+class MiningParams(Record):
     """Thresholds for one mining run.
 
     ``delta`` bounds the rank error at any single position, ``gamma`` bounds
@@ -47,29 +92,28 @@ class MiningParams:
     pattern of the next length is frequent.
     """
 
-    delta: int
-    gamma: int
-    minsup: int
-    max_len: int | None = None
+    __slots__ = ("delta", "gamma", "minsup", "max_len")
 
-    def __post_init__(self) -> None:
+    def __init__(self, delta: int, gamma: int, minsup: int, max_len: int | None = None) -> None:
         # type(...) is int, not isinstance: bool subclasses int
-        if type(self.delta) is not int or self.delta < 0:
-            raise ValueError(f"delta must be a non-negative integer, got {self.delta!r}")
-        if type(self.gamma) is not int or self.gamma < 0:
-            raise ValueError(f"gamma must be a non-negative integer, got {self.gamma!r}")
-        if type(self.minsup) is not int or self.minsup < 1:
-            raise ValueError(f"minsup must be a positive integer, got {self.minsup!r}")
-        if self.max_len is not None and (type(self.max_len) is not int or self.max_len < 1):
-            raise ValueError(f"max_len must be a positive integer, got {self.max_len!r}")
+        if type(delta) is not int or delta < 0:
+            raise ValueError(f"delta must be a non-negative integer, got {delta!r}")
+        if type(gamma) is not int or gamma < 0:
+            raise ValueError(f"gamma must be a non-negative integer, got {gamma!r}")
+        if type(minsup) is not int or minsup < 1:
+            raise ValueError(f"minsup must be a positive integer, got {minsup!r}")
+        if max_len is not None and (type(max_len) is not int or max_len < 1):
+            raise ValueError(f"max_len must be a positive integer, got {max_len!r}")
+        self._fill(delta, gamma, minsup, max_len)
 
 
-@dataclass(frozen=True)
-class FrequentPattern:
+class FrequentPattern(Record):
     """A pattern together with its sorted 1-based occurrence positions."""
 
-    pattern: Pattern
-    occurrences: OccurrenceSet
+    __slots__ = ("pattern", "occurrences")
+
+    def __init__(self, pattern: Pattern, occurrences: OccurrenceSet) -> None:
+        self._fill(pattern, occurrences)
 
     @property
     def support(self) -> int:

@@ -12,11 +12,10 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from .core import MiningParams, TimeSeries
+from .core import MiningParams, Record, TimeSeries
 from .errors import ConfigError, DataError
 from .miner import ALGORITHMS
 
@@ -24,42 +23,53 @@ FORMATS = ("plain", "csv")
 _BLOCK = 1 << 16  # characters of plain text parsed at a time
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Where and how to read one series."""
+class DatasetSpec(Record):
+    """Where and how to read one series.
 
-    path: Path
-    format: str | None = None  # "plain" or "csv"; None: "csv" for a .csv suffix, else "plain"
-    column: int | str | None = None  # csv only: column name or 0-based index
-    name: str | None = None  # series label; None or "": the file's stem
+    ``format`` is "plain" or "csv"; None picks "csv" for a .csv suffix, else
+    "plain". ``column`` (csv only) is a column name or 0-based index. ``name``
+    labels the series; None or "" picks the file's stem.
+    """
 
-    def __post_init__(self) -> None:
-        path = Path(self.path)
-        object.__setattr__(self, "path", path)
-        if self.format is None:
-            object.__setattr__(self, "format", "csv" if path.suffix.lower() == ".csv" else "plain")
-        if self.format not in FORMATS:
-            raise ConfigError(f"unknown format {self.format!r}; expected one of {FORMATS}")
-        if not self.name:
-            object.__setattr__(self, "name", path.stem)
+    __slots__ = ("path", "format", "column", "name")
+
+    def __init__(
+        self,
+        path: str | Path,
+        format: str | None = None,
+        column: int | str | None = None,
+        name: str | None = None,
+    ) -> None:
+        path = Path(path)
+        if format is None:
+            format = "csv" if path.suffix.lower() == ".csv" else "plain"
+        if format not in FORMATS:
+            raise ConfigError(f"unknown format {format!r}; expected one of {FORMATS}")
         # type(...), not isinstance: bool subclasses int, and True would pick column 1
-        if self.column is not None and type(self.column) not in (int, str):
-            raise ConfigError(f"column must be a name or a 0-based index, got {self.column!r}")
-        if isinstance(self.column, int) and self.column < 0:
-            raise ConfigError(f"column index must be >= 0, got {self.column}")
-        if self.column is not None and self.format == "plain":
-            raise ConfigError(f"column {self.column!r} given for plain-format input {path}")
+        if column is not None and type(column) not in (int, str):
+            raise ConfigError(f"column must be a name or a 0-based index, got {column!r}")
+        if isinstance(column, int) and column < 0:
+            raise ConfigError(f"column index must be >= 0, got {column}")
+        if column is not None and format == "plain":
+            raise ConfigError(f"column {column!r} given for plain-format input {path}")
+        self._fill(path, format, column, name or path.stem)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully resolved mining run."""
+class RunConfig(Record):
+    """One fully resolved mining run; ``emit_occurrences`` None applies the
+    automatic size cutoff."""
 
-    dataset: DatasetSpec
-    params: MiningParams
-    algorithm: str = "aop"
-    output: Path | None = None
-    emit_occurrences: bool | None = None  # None applies the automatic size cutoff
+    __slots__ = ("dataset", "params", "algorithm", "output", "emit_occurrences")
+
+    def __init__(
+        self,
+        dataset: DatasetSpec,
+        params: MiningParams,
+        algorithm: str = "aop",
+        output: Path | None = None,
+        emit_occurrences: bool | None = None,
+    ) -> None:
+        self._fill(dataset, params, algorithm, output, emit_occurrences)
 
 
 def load_series(spec: DatasetSpec) -> TimeSeries:
@@ -72,7 +82,7 @@ def load_series(spec: DatasetSpec) -> TimeSeries:
         values = _parse_csv(text, path, spec.column)
     if not values:
         raise DataError(f"{path}: empty series")
-    return TimeSeries(values, name=spec.name)  # its __post_init__ makes the one tuple
+    return TimeSeries(values, name=spec.name)  # its __init__ makes the one tuple
 
 
 def _read_text(path: Path, error: type[Exception], cannot_read: str) -> str:

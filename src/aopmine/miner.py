@@ -22,29 +22,42 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress, repeat
 from operator import getitem, gt, lt, not_, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import FrequentPattern, MiningParams, OccurrenceSet, Pattern, RankVector, TimeSeries
-from .core import compute_ranks
+from .core import FrequentPattern, MiningParams, OccurrenceSet, Pattern, RankVector, Record
+from .core import TimeSeries, compute_ranks
 from .oracle import oracle_mine
 from .patterns import enumerate_extensions, fuse, fusion_pairs
 
 RankMemo = tuple[list, Optional[list], dict]  # (shapes, shorter, composition key -> shape)
 
 
-@dataclass
-class MiningStats:
+class MiningStats(Record):
     """The deterministic counters of one mining run: equal inputs give equal stats
     on any hardware. ``_confirm`` charges every candidate group to them (the oracle
-    miner sets its own); no clock is read, and ``bench`` times each ``mine`` call."""
+    miner sets its own); no clock is read, and ``bench`` times each ``mine`` call.
+    The one mutable record, so it has no hash; each gets its own
+    ``candidates_generated`` dict unless one is given."""
 
-    candidates_generated: dict[int, int] = field(default_factory=dict)
-    matching_windows_tested: int = 0
-    patterns_pruned_by_count: int = 0
+    __slots__ = ("candidates_generated", "matching_windows_tested", "patterns_pruned_by_count")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(
+        self,
+        candidates_generated: dict[int, int] | None = None,
+        matching_windows_tested: int = 0,
+        patterns_pruned_by_count: int = 0,
+    ) -> None:
+        self._fill(
+            {} if candidates_generated is None else candidates_generated,
+            matching_windows_tested,
+            patterns_pruned_by_count,
+        )
 
     @property
     def total_candidates(self) -> int:

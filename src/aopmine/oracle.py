@@ -55,7 +55,7 @@ def oracle_exact_opp(
     ties have non-permutation rank vectors and can never match.
     """
     _require_tractable(max_len)
-    if minsup < 1:
+    if type(minsup) is not int or minsup < 1:  # as MiningParams: bools refused too
         raise ValueError(f"minsup must be a positive integer, got {minsup!r}")
     vals = series.values
     n = len(vals)

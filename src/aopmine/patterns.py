@@ -8,19 +8,20 @@ point of preferring it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Pattern, RankVector
+from .core import Pattern, RankVector, Record
 
 
-@dataclass(frozen=True)
-class FusionResult:
+class FusionResult(Record):
     """Superpatterns produced by fusing one ordered pattern pair: one when the
     left pattern's head and the right pattern's tail differ, two (head-wins
     first) when they tie."""
 
-    produced: tuple[Pattern, ...]
+    __slots__ = ("produced",)
+
+    def __init__(self, produced: tuple[Pattern, ...]) -> None:
+        self._fill(produced)
 
 
 def prefixorder(p: Pattern) -> RankVector:

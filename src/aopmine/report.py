@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -64,7 +63,7 @@ def write_report(
             "tool_version": __version__,
             "dataset": dataset,
             "algorithm": algorithm,
-            "params": asdict(params),
+            "params": {name: getattr(params, name) for name in params._fields},
             "patterns": [],
             "stats": {
                 "candidates_by_length": {

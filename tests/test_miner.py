@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import weakref
@@ -601,9 +600,11 @@ class TestMineGolden:
     @pytest.mark.parametrize("kind", MINERS)
     def test_stats_are_only_deterministic_counters(self, kind, sample_series, sample_params):
         # no clock reading rides along: two runs of one input give equal stats
-        names = [f.name for f in dataclasses.fields(MiningStats)]
-        assert names == ["candidates_generated", "matching_windows_tested",
-                         "patterns_pruned_by_count"]
+        # slots and no __dict__: an instance holds these three fields and nothing else
+        assert MiningStats.__slots__ == (
+            "candidates_generated", "matching_windows_tested", "patterns_pruned_by_count"
+        )
+        assert not hasattr(MiningStats(), "__dict__")
         assert mine(sample_series, sample_params, kind) == mine(
             sample_series, sample_params, kind
         )

@@ -106,15 +106,25 @@ def test_algorithms_are_the_strategies_then_oracle():
     assert ALGORITHMS == (*STRATEGIES, "oracle")
 
 
-def test_cli_import_leaves_out_the_numeric_tower():
-    # bench averages its run times with math.fsum; importing statistics would
-    # pull fractions, decimal and numbers into every command's memory
-    # (-S: without site, so only this package's imports are seen)
-    heavy = ("statistics", "fractions", "decimal", "numbers")
+def imported_by_cli(names: tuple[str, ...]) -> list[str]:
+    """Which of the named modules a fresh interpreter holds after importing
+    aopmine.cli (-S: without site, so only this package's imports are seen)."""
     probe = (
         f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import aopmine.cli; "
-        f"print([m for m in {heavy!r} if m in sys.modules])"
+        f"print([m for m in {names!r} if m in sys.modules])"
     )
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return ast.literal_eval(done.stdout)
+
+
+def test_cli_import_leaves_out_the_numeric_tower():
+    # bench averages its run times with math.fsum; importing statistics would
+    # pull fractions, decimal and numbers into every command's memory
+    assert imported_by_cli(("statistics", "fractions", "decimal", "numbers")) == []
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # the records are built on core.Record; dataclasses would pull inspect, dis,
+    # tokenize and more into every command's memory and start-up
+    assert imported_by_cli(("dataclasses", "inspect")) == []

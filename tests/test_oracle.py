@@ -72,6 +72,15 @@ class TestOracleExactOpp:
         with pytest.raises(ValueError, match="minsup must be a positive integer, got 0"):
             oracle_exact_opp(sample_series, 0, 4)
 
+    @pytest.mark.parametrize("minsup", [True, False, 2.5, 1.0, "2", None])
+    def test_minsup_that_is_not_an_int_refused(self, sample_series, minsup):
+        # with MiningParams' message; True once mined silently at minsup 1
+        message = f"minsup must be a positive integer, got {minsup!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MiningParams(delta=0, gamma=0, minsup=minsup)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracle_exact_opp(sample_series, minsup, 4)
+
     def test_identical_values_have_no_patterns(self):
         series = TimeSeries((3.0,) * 20)
         assert oracle_exact_opp(series, 1, 4) == ()

@@ -21,7 +21,7 @@ from typing import Any, Sequence, TextIO
 from . import __version__
 from .core import FrequentPattern
 from .errors import ConfigError, DataError
-from .ingest import _CONFIG_KEYS, FORMATS, RunConfig, _convert_column
+from .ingest import _CONFIG_KEYS, FORMATS, DatasetSpec, _convert_column
 from .ingest import build_run_config, load_series, parse_config
 from .miner import ALGORITHMS, mine
 from .report import bench_table, write_bench, write_report
@@ -133,15 +133,17 @@ def _collect_values(args: argparse.Namespace) -> dict[str, Any]:
     return values
 
 
-def _resolve_output(config: RunConfig, suffix: str, config_path: str | None) -> Path:
+def _resolve_output(
+    spec: DatasetSpec, output: str | None, suffix: str, config_path: str | None
+) -> Path:
     """The command's one output path, refused when it is the series file or
     the config file, so a run never overwrites what it reads, or when it is
     a directory or its directory is missing, so a run never mines what it
     cannot write."""
-    spec = config.dataset
-    path = config.output
-    if path is None:
+    if output is None:
         path = Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / f"{spec.name}.{suffix}"
+    else:
+        path = Path(output)
     for source in filter(None, (spec.path, config_path)):
         if path.exists() and Path(source).exists() and path.samefile(source):
             raise ConfigError(f"output {path} is the input {source}; refusing to overwrite it")
@@ -153,18 +155,20 @@ def _resolve_output(config: RunConfig, suffix: str, config_path: str | None) -> 
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    config = build_run_config(_collect_values(args))
-    out_path = _resolve_output(config, "report.json", args.config)
-    series = load_series(config.dataset)
-    found, stats = mine(series, config.params, config.algorithm)
+    values = _collect_values(args)
+    spec, params = build_run_config(values)
+    out_path = _resolve_output(spec, values.get("output"), "report.json", args.config)
+    series = load_series(spec)
+    algorithm = values.get("algorithm", "aop")
+    found, stats = mine(series, params, algorithm)
     write_report(
         out_path,
         series.name,
-        config.algorithm,
-        config.params,
+        algorithm,
+        params,
         found,
         stats,
-        include_occurrences=config.emit_occurrences,
+        include_occurrences=values.get("occurrences"),
     )
     _print_pattern_summary(found)
     print(f"report: {out_path}")
@@ -182,16 +186,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.repeat < 1:
         raise ConfigError(f"--repeat must be >= 1, got {args.repeat}")
 
-    config = build_run_config(_collect_values(args))
-    out_path = _resolve_output(config, "bench.csv", args.config)
-    series = load_series(config.dataset)
+    values = _collect_values(args)
+    spec, params = build_run_config(values)
+    out_path = _resolve_output(spec, values.get("output"), "bench.csv", args.config)
+    series = load_series(spec)
     runs = {}
     # the oracle first: it refuses an intractable max length before any mining
     for name in sorted(names, key=lambda name: name != "oracle"):
         times = []
         for _ in range(args.repeat):
             start = time.perf_counter()
-            found, stats = mine(series, config.params, name)
+            found, stats = mine(series, params, name)
             times.append(time.perf_counter() - start)
         runs[name] = found, stats, math.fsum(times) / len(times)
     rows = [(name, len(runs[name][0]), *runs[name][1:]) for name in names]
@@ -207,10 +212,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     values = _collect_values(args)
     values.setdefault("max_length", 5)
-    config = build_run_config(values)
-    series = load_series(config.dataset)
+    spec, params = build_run_config(values)
+    series = load_series(spec)
     # the oracle first: it refuses an intractable max length before any mining
-    outcomes = {name: mine(series, config.params, name)[0] for name in ("oracle", "aop")}
+    outcomes = {name: mine(series, params, name)[0] for name in ("oracle", "aop")}
     for name, found in outcomes.items():
         print(f"{name}: {len(found)} patterns")
     agree = _compare(outcomes, sys.stdout)

@@ -9,9 +9,9 @@ in docs/formats.md; command-line flags override file values.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
+import re
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -21,6 +21,8 @@ from .miner import ALGORITHMS
 
 FORMATS = ("plain", "csv")
 _BLOCK = 1 << 16  # characters of plain text parsed at a time
+# one line and its ending, split as io.StringIO(newline="") splits it
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 
 class DatasetSpec(Record):
@@ -53,23 +55,6 @@ class DatasetSpec(Record):
         if column is not None and format == "plain":
             raise ConfigError(f"column {column!r} given for plain-format input {path}")
         self._fill(path, format, column, name or path.stem)
-
-
-class RunConfig(Record):
-    """One fully resolved mining run; ``emit_occurrences`` None applies the
-    automatic size cutoff."""
-
-    __slots__ = ("dataset", "params", "algorithm", "output", "emit_occurrences")
-
-    def __init__(
-        self,
-        dataset: DatasetSpec,
-        params: MiningParams,
-        algorithm: str = "aop",
-        output: Path | None = None,
-        emit_occurrences: bool | None = None,
-    ) -> None:
-        self._fill(dataset, params, algorithm, output, emit_occurrences)
 
 
 def load_series(spec: DatasetSpec) -> TimeSeries:
@@ -158,8 +143,8 @@ def _parse_csv(text: str, path: Path, column: int | str | None) -> list[float]:
 
 def _csv_rows(text: str, path: Path) -> Iterator[tuple[int, list[str]]]:
     """Each row holding a non-blank cell, after the number of the line it ends on;
-    a row is parsed only when it is pulled."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    a row is parsed only when it is pulled, and the text is never copied whole."""
+    reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))
     try:
         for row in reader:
             if any(cell.strip() for cell in row):
@@ -244,35 +229,22 @@ def parse_config(path: str | Path) -> dict[str, Any]:
     return values
 
 
-def build_run_config(values: dict[str, Any]) -> RunConfig:
-    """Materialize a RunConfig from merged config-file and CLI values.
+def build_run_config(values: dict[str, Any]) -> tuple[DatasetSpec, MiningParams]:
+    """The series and the thresholds of one run, from merged config-file and
+    CLI values, none of them None.
 
     ``input`` and ``minsup`` are required; delta and gamma default to 0, the
     exact-matching specialization.
     """
     for key in ("input", "minsup"):
-        if values.get(key) is None:
+        if key not in values:
             raise ConfigError(f"missing required key: {key}")
     try:
-        params = MiningParams(
-            delta=values["delta"] if values.get("delta") is not None else 0,
-            gamma=values["gamma"] if values.get("gamma") is not None else 0,
-            minsup=values["minsup"],
-            max_len=values.get("max_length"),
-        )
+        delta, gamma = values.get("delta", 0), values.get("gamma", 0)
+        params = MiningParams(delta, gamma, values["minsup"], values.get("max_length"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    dataset = DatasetSpec(
-        path=Path(values["input"]),
-        format=values.get("format"),
-        column=values.get("column"),
-        name=values.get("name"),
+    spec = DatasetSpec(
+        values["input"], values.get("format"), values.get("column"), values.get("name")
     )
-    output = values.get("output")
-    return RunConfig(
-        dataset=dataset,
-        params=params,
-        algorithm=values.get("algorithm") or "aop",
-        output=Path(output) if output is not None else None,
-        emit_occurrences=values.get("occurrences"),
-    )
+    return spec, params

@@ -25,7 +25,8 @@ def oracle_mine(
     For each length m in 2..max_len, all m! permutations are tried against
     all windows; a pattern is kept when at least minsup windows fall within
     both distance bounds. Lengths are enumerated unconditionally (no early
-    stop), and ``max_len`` that is None or beyond 7 is refused as intractable.
+    stop), and ``max_len`` that is None or beyond 7 is refused as intractable;
+    one that is not a positive int is refused as ``MiningParams`` refuses it.
     """
     _require_tractable(max_len)
     vals = series.values
@@ -55,8 +56,7 @@ def oracle_exact_opp(
     ties have non-permutation rank vectors and can never match.
     """
     _require_tractable(max_len)
-    if type(minsup) is not int or minsup < 1:  # as MiningParams: bools refused too
-        raise ValueError(f"minsup must be a positive integer, got {minsup!r}")
+    MiningParams(0, 0, minsup)  # refuses a minsup that a run would refuse
     vals = series.values
     n = len(vals)
     found = []
@@ -72,6 +72,7 @@ def oracle_exact_opp(
 
 
 def _require_tractable(max_len: int | None) -> None:
+    MiningParams(0, 0, 1, max_len)  # refuses a max_len that a run would refuse
     # each length m tries all m! patterns against every window
     if max_len is None or max_len > ORACLE_MAX_LEN:
         raise ValueError(f"oracle intractable: set max_len <= {ORACLE_MAX_LEN} (got {max_len!r})")

@@ -92,6 +92,36 @@ class TestMineCommand:
         assert main(["mine", *MINE_FLAGS]) == 0
         assert (target / "sample16.report.json").exists()
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_minimal_run_mines_aop_with_the_automatic_cutoff(
+        self, workdir, monkeypatch, capsys, source
+    ):
+        # with neither algorithm nor occurrences given, mine runs aop and the
+        # report applies its size cutoff (include_occurrences None)
+        import aopmine.cli as cli
+
+        calls = []
+        real_mine, real_write = cli.mine, cli.write_report
+
+        def spy_mine(series, params, kind):
+            calls.append(("mine", kind))
+            return real_mine(series, params, kind)
+
+        def spy_write(*args, **kwargs):
+            calls.append(("write_report", args[2], kwargs))
+            return real_write(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "mine", spy_mine)
+        monkeypatch.setattr(cli, "write_report", spy_write)
+        (workdir / "run.conf").write_text("input = sample16.txt\nminsup = 4\n")
+        argv = ["--input", "sample16.txt", "--minsup", "4"]
+        assert main(["mine", *(argv if source == "flags" else ["--config", "run.conf"])]) == 0
+        assert calls == [
+            ("mine", "aop"), ("write_report", "aop", {"include_occurrences": None})
+        ]
+        assert json.loads((workdir / "sample16.report.json").read_text())["algorithm"] == "aop"
+        capsys.readouterr()
+
     def test_all_algorithms_accepted(self, workdir):
         for kind in ("aop", "nopruning", "em", "scan_em"):
             assert main(["mine", *MINE_FLAGS, "--algorithm", kind, "--output", "r.json"]) == 0

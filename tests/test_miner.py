@@ -22,6 +22,7 @@ from aopmine import (
     matching,
     mine,
     oracle_exact_opp,
+    scan_occurrences,
     screen,
 )
 from aopmine.miner import _confirm, _mark, _shape_index, rank_memo
@@ -810,3 +811,35 @@ class TestMineProperties:
                     continue
                 for parent in (prefixorder(fp.pattern), suffixorder(fp.pattern)):
                     assert supports.get(parent, 0) >= fp.support
+
+
+@pytest.fixture(scope="module")
+def long_walk():
+    """An 800-sample Gaussian walk written as the benchmark writes its walks
+    (seed 0, 4 decimals), δ2/γ4/minsup 20, and the window-scan positions of
+    every pattern of length 8 or more that aop reports, scanned once."""
+    rng = random.Random(0)
+    x, lines = 0.0, []
+    for _ in range(800):
+        x += rng.gauss(0.0, 1.0)
+        lines.append(f"{x:.4f}")
+    series = TimeSeries(map(float, lines))
+    params = MiningParams(delta=2, gamma=4, minsup=20)
+    found, _ = mine(series, params, "aop")
+    scanned = {
+        fp.pattern: scan_occurrences(fp.pattern, series, params)
+        for fp in found
+        if len(fp.pattern) >= 8
+    }
+    return series, params, scanned
+
+
+@pytest.mark.parametrize("kind", ["aop", "nopruning", "em"])
+def test_occurrences_past_length_7_equal_a_window_scan(kind, long_walk):
+    # no other tier-1 input has a frequent pattern longer than 7
+    series, params, scanned = long_walk
+    found, _ = mine(series, params, kind)
+    long = {fp.pattern: fp.occurrences for fp in found if len(fp.pattern) >= 8}
+    assert max(map(len, long)) == 9
+    assert len(long) == 124
+    assert long == scanned

@@ -52,6 +52,18 @@ class TestOracleMine:
         with pytest.raises(ValueError, match=refused):
             mine(sample_series, params, "oracle")
 
+    @pytest.mark.parametrize("max_len", [True, False, 0, -1, 2.5, 3.0, "4"])
+    def test_max_len_that_is_not_a_positive_int_refused(self, sample_series, max_len):
+        # with MiningParams' message; True, 0 and -1 once mined nothing silently
+        # and 2.5 raised a bare TypeError from range
+        message = f"max_len must be a positive integer, got {max_len!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MiningParams(delta=0, gamma=0, minsup=2, max_len=max_len)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracle_mine(sample_series, MiningParams(delta=1, gamma=2, minsup=2), max_len)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracle_exact_opp(sample_series, 2, max_len)
+
     def test_supports_match_independent_recount(self, sample_series, sample_params):
         for fp in oracle_mine(sample_series, sample_params, 5):
             assert fp.occurrences == scan_occurrences(fp.pattern, sample_series, sample_params)

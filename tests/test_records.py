@@ -1,7 +1,7 @@
-"""The record contract shared by the seven record types.
+"""The record contract shared by the six record types.
 
 Each record is a value: equal fields make equal records of one class and
-never equal ones of another; the read-only six hash as their field tuple and
+never equal ones of another; the read-only five hash as their field tuple and
 refuse assignment and deletion, while ``MiningStats`` is mutable and has no
 hash. Records print as ``Name(field=value, ...)`` and survive pickle and
 ``copy`` unchanged.
@@ -16,10 +16,7 @@ from pathlib import Path
 import pytest
 
 from aopmine import FrequentPattern, FusionResult, MiningParams, MiningStats, TimeSeries
-from aopmine.ingest import DatasetSpec, RunConfig
-
-SPEC = DatasetSpec(Path("runs/prices.csv"), "csv", "close", "prices")
-PARAMS = MiningParams(1, 2, 4, 6)
+from aopmine.ingest import DatasetSpec
 
 # every field, in declaration order, with a value other than its default
 RECORDS = {
@@ -29,8 +26,6 @@ RECORDS = {
     FusionResult: {"produced": ((3, 1, 2, 4), (2, 1, 3, 4))},
     DatasetSpec: {"path": Path("runs/prices.csv"), "format": "csv", "column": "close",
                   "name": "prices"},
-    RunConfig: {"dataset": SPEC, "params": PARAMS, "algorithm": "em",
-                "output": Path("out.json"), "emit_occurrences": True},
     MiningStats: {"candidates_generated": {2: 2, 3: 6}, "matching_windows_tested": 40,
                   "patterns_pruned_by_count": 3},
 }
@@ -42,7 +37,6 @@ DEFAULTS = {
     FrequentPattern: (((1, 2), ()), ((1, 2), ())),
     FusionResult: ((((1, 2, 3),),), (((1, 2, 3),),)),
     DatasetSpec: (("runs/prices.txt",), (Path("runs/prices.txt"), "plain", None, "prices")),
-    RunConfig: ((SPEC, PARAMS), (SPEC, PARAMS, "aop", None, None)),
     MiningStats: ((), ({}, 0, 0)),
 }
 

@@ -19,8 +19,6 @@ from .core import (
     compute_ranks,
     delta_distance,
     gamma_distance,
-    is_occurrence,
-    scan_occurrences,
 )
 from .miner import (
     ALGORITHMS,
@@ -31,7 +29,7 @@ from .miner import (
     mine,
     screen,
 )
-from .oracle import oracle_exact_opp, oracle_mine
+from .oracle import oracle_exact_opp, oracle_mine, scan_occurrences
 from .patterns import (
     FusionResult,
     enumerate_extensions,
@@ -66,7 +64,6 @@ __all__ = [
     "fusion_candidates",
     "fusion_pairs",
     "gamma_distance",
-    "is_occurrence",
     "matching",
     "mine",
     "oracle_exact_opp",

@@ -1,10 +1,12 @@
-"""Rank calculus and the two integer distances it is measured with.
+"""The records, the rank calculus and the two integer distances.
 
 A window of numeric samples is reduced to its rank vector: each element's
 rank is one plus the number of strictly smaller elements in the same window.
 Two equal-length rank vectors are compared with a per-position bound (delta)
 and a total bound (gamma); a window "occurs" for a pattern when both bounds
-hold. Everything in this module is a pure function over immutable values.
+hold. The miner's matching kernel applies that test, and so does the oracle
+module's window scan, from the definition. Records are immutable and every
+function here is pure.
 """
 
 from __future__ import annotations
@@ -145,34 +147,6 @@ def gamma_distance(a: RankVector, b: RankVector) -> int:
     """Total per-position gap between two equal-length rank vectors."""
     _require_same_length(a, b)
     return sum(abs(x - y) for x, y in zip(a, b))
-
-
-def is_occurrence(pattern: Pattern, window: Sequence[float], params: MiningParams) -> bool:
-    """True when the window's rank vector is within both distance bounds."""
-    if len(window) != len(pattern):
-        raise ValueError(f"length mismatch: window {len(window)} vs pattern {len(pattern)}")
-    total = 0
-    for x, y in zip(compute_ranks(window), pattern):
-        gap = abs(x - y)
-        if gap > params.delta:
-            return False
-        total += gap
-    return total <= params.gamma
-
-
-def scan_occurrences(pattern: Pattern, series: TimeSeries, params: MiningParams) -> OccurrenceSet:
-    """All 1-based window starts in the series that match the pattern.
-
-    Overlapping matches all count. A series shorter than the pattern has no
-    candidate windows and yields the empty set.
-    """
-    m = len(pattern)
-    vals = series.values
-    return tuple(
-        t
-        for t in range(1, len(vals) - m + 2)
-        if is_occurrence(pattern, vals[t - 1 : t - 1 + m], params)
-    )
 
 
 def _require_same_length(a: Sequence[int], b: Sequence[int]) -> None:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from aopmine import FrequentPattern, MiningParams, TimeSeries
+from aopmine import FrequentPattern, MiningParams, TimeSeries, scan_occurrences
 
 # 16-sample golden fixture: at delta=1, gamma=2, minsup=4 its full frequent set
 # and every occurrence list below were confirmed by definitional brute force.
@@ -42,6 +42,12 @@ def freq_map(found) -> dict:
 
 def sample_frequent(pattern) -> FrequentPattern:
     return FrequentPattern(pattern, SAMPLE_EXPECTED[pattern])
+
+
+def occurs(pattern, window, params) -> bool:
+    """Whether one window of the pattern's length fits it within both bounds,
+    by the reference window scan."""
+    return scan_occurrences(pattern, TimeSeries(window), params) == (1,)
 
 
 def random_series(rng: random.Random, n: int, tie_free: bool = True) -> TimeSeries:

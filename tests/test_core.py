@@ -11,10 +11,9 @@ from aopmine import (
     compute_ranks,
     delta_distance,
     gamma_distance,
-    is_occurrence,
     scan_occurrences,
 )
-from conftest import SAMPLE_VALUES
+from conftest import SAMPLE_VALUES, occurs
 
 # integer-valued windows keep affine transforms exact
 int_windows = st.lists(st.integers(-1000, 1000), min_size=1, max_size=8)
@@ -100,21 +99,16 @@ class TestDistances:
 class TestIsOccurrence:
     def test_known_positive(self):
         params = MiningParams(delta=1, gamma=2, minsup=1)
-        assert is_occurrence((2, 1, 4, 3), (13, 11, 18, 23), params)
+        assert occurs((2, 1, 4, 3), (13, 11, 18, 23), params)
 
     def test_known_negative(self):
         # window ranks (2,4,1,3): position 3 is off by 3, beyond delta
         params = MiningParams(delta=1, gamma=2, minsup=1)
-        assert not is_occurrence((2, 1, 4, 3), (12, 15, 10, 13), params)
+        assert not occurs((2, 1, 4, 3), (12, 15, 10, 13), params)
 
     def test_zero_distance_matches_itself(self):
         params = MiningParams(delta=0, gamma=0, minsup=1)
-        assert is_occurrence((2, 4, 1, 3), (12, 15, 10, 13), params)
-
-    def test_length_mismatch_raises(self):
-        params = MiningParams(delta=1, gamma=2, minsup=1)
-        with pytest.raises(ValueError, match="length mismatch"):
-            is_occurrence((1, 2), (1.0, 2.0, 3.0), params)
+        assert occurs((2, 4, 1, 3), (12, 15, 10, 13), params)
 
 
 class TestScanOccurrences:
@@ -128,6 +122,12 @@ class TestScanOccurrences:
         series = TimeSeries((1.0, 2.0, 3.0))
         params = MiningParams(delta=0, gamma=0, minsup=1)
         assert scan_occurrences((1, 2, 3, 4), series, params) == ()
+
+    @pytest.mark.parametrize("values", [(), (1.0, 2.0, 3.0)])
+    def test_empty_pattern_is_refused(self, values):
+        params = MiningParams(delta=0, gamma=0, minsup=1)
+        with pytest.raises(ValueError, match="empty window"):
+            scan_occurrences((), TimeSeries(values), params)
 
     @given(st.lists(st.integers(0, 50), min_size=2, max_size=30), st.integers(2, 4))
     def test_exact_mode_equals_rank_equality(self, values, m):

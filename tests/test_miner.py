@@ -18,7 +18,6 @@ from aopmine import (
     fuse,
     fusion_pairs,
     gamma_distance,
-    is_occurrence,
     matching,
     mine,
     oracle_exact_opp,
@@ -26,7 +25,14 @@ from aopmine import (
     screen,
 )
 from aopmine.miner import _confirm, _mark, _shape_index, rank_memo
-from conftest import SAMPLE_EXPECTED, SAMPLE_VALUES, freq_map, random_series, sample_frequent
+from conftest import (
+    SAMPLE_EXPECTED,
+    SAMPLE_VALUES,
+    freq_map,
+    occurs,
+    random_series,
+    sample_frequent,
+)
 
 MINERS = ("aop", "nopruning", "em", "scan_em")
 
@@ -146,7 +152,7 @@ class TestMatching:
     @pytest.mark.parametrize("tie_free", [True, False])
     @pytest.mark.parametrize("delta", [0, 1, 2])
     @pytest.mark.parametrize("gamma", [0, 2, 4])
-    def test_shared_memo_equals_is_occurrence(self, tie_free, delta, gamma):
+    def test_shared_memo_equals_the_window_scan(self, tie_free, delta, gamma):
         # one memo serves every same-length candidate of a level; each result
         # must still be exactly the definitional occurrence set
         rng = random.Random(delta * 10 + gamma)
@@ -164,7 +170,7 @@ class TestMatching:
                 index = _shape_index(candidates, m, vals, ranks)
                 got = matching(candidates, t, series, params, index=index)
                 expected = tuple(
-                    x for x in candidates if is_occurrence(t, vals[x - 1 : x - 1 + m], params)
+                    x for x in candidates if occurs(t, vals[x - 1 : x - 1 + m], params)
                 )
                 assert got == expected
 
@@ -172,7 +178,7 @@ class TestMatching:
     @pytest.mark.parametrize("tie_free", [True, False])
     @pytest.mark.parametrize("delta", [0, 1, 2])
     @pytest.mark.parametrize("gamma", [0, 2, 4])
-    def test_chained_memo_equals_is_occurrence(self, holes, tie_free, delta, gamma):
+    def test_chained_memo_equals_the_window_scan(self, holes, tie_free, delta, gamma):
         # each level's memo is chained to the one before, as mine() does, so
         # most shapes are composed from the two shorter windows inside; with
         # holes, every other slot of the shorter shapes is blank and those
@@ -197,7 +203,7 @@ class TestMatching:
                 index = _shape_index(candidates, m, vals, ranks)
                 got = matching(candidates, t, series, params, index=index)
                 expected = tuple(
-                    x for x in candidates if is_occurrence(t, vals[x - 1 : x - 1 + m], params)
+                    x for x in candidates if occurs(t, vals[x - 1 : x - 1 + m], params)
                 )
                 assert got == expected
             shapes = ranks[0]
@@ -769,7 +775,7 @@ class TestMineProperties:
             m = len(fp.pattern)
             for pos in fp.occurrences:
                 window = sample_series.values[pos - 1 : pos - 1 + m]
-                assert is_occurrence(fp.pattern, window, sample_params)
+                assert occurs(fp.pattern, window, sample_params)
 
     @pytest.mark.parametrize(
         "series, params",
@@ -834,12 +840,34 @@ def long_walk():
     return series, params, scanned
 
 
+FUSION_CANDIDATES = {2: 2, 3: 6, 4: 24, 5: 120, 6: 720, 7: 1527, 8: 483, 9: 181, 10: 31}
+LONG_WALK_COUNTERS = {
+    # candidates by length, windows tested, patterns pruned; aop's are the
+    # counters benchmarks/expected.json records for dense-approx at seed 0
+    "aop": (FUSION_CANDIDATES, 119_911, 1_463),
+    "nopruning": (FUSION_CANDIDATES, 139_492, 0),
+    "em": (
+        {2: 2, 3: 6, 4: 24, 5: 120, 6: 720, 7: 2394, 8: 1632, 9: 909, 10: 230},
+        344_791,
+        7,
+    ),
+}
+
+
 @pytest.mark.parametrize("kind", ["aop", "nopruning", "em"])
 def test_occurrences_past_length_7_equal_a_window_scan(kind, long_walk):
-    # no other tier-1 input has a frequent pattern longer than 7
+    # no other tier-1 input has a frequent pattern longer than 7; the
+    # counters catch a fault that drops or adds work from length 8 on even
+    # where the frequent set survives it
     series, params, scanned = long_walk
-    found, _ = mine(series, params, kind)
+    found, stats = mine(series, params, kind)
     long = {fp.pattern: fp.occurrences for fp in found if len(fp.pattern) >= 8}
     assert max(map(len, long)) == 9
     assert len(long) == 124
     assert long == scanned
+    counters = (
+        stats.candidates_generated,
+        stats.matching_windows_tested,
+        stats.patterns_pruned_by_count,
+    )
+    assert counters == LONG_WALK_COUNTERS[kind]

@@ -2,8 +2,8 @@
 
 Every import sits at module level, so the import graph is visible and has no
 cycle hidden in a function body, and every import is used. No module uses ``assert``, which ``-O``
-strips, so every check on an argument raises. The oracle imports only the core types, so
-it shares no mining code with the engine it checks.
+strips, so every check on an argument raises. The oracle imports only core's records and
+type names, so it shares no ranking, distance or mining code with the engine it checks.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ def test_no_assert_statement(path):
 
 
 def test_oracle_imports_only_core():
+    # from core, only records and type names: the oracle ranks, measures and
+    # scans windows with code of its own
     tree = parse(PACKAGE / "oracle.py")
     imported = [
         "." * node.level + (node.module or "")
@@ -75,6 +77,20 @@ def test_oracle_imports_only_core():
     ] + [alias.name for node in tree.body if isinstance(node, ast.Import) for alias in node.names]
     own = [name for name in imported if name.startswith((".", "aopmine"))]
     assert own == [".core"]
+    names = {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "core"
+        for alias in node.names
+    }
+    assert names <= {
+        "FrequentPattern",
+        "MiningParams",
+        "OccurrenceSet",
+        "Pattern",
+        "RankVector",
+        "TimeSeries",
+    }
 
 
 def test_counters_are_charged_only_in_the_level_step_and_the_oracle():

@@ -81,6 +81,7 @@ def matching(
     *,
     screened: bool = False,
     index: tuple[list[RankVector], list[RankVector]] | None = None,
+    ends: tuple[Sequence[float], Sequence[float]] | None = None,
 ) -> OccurrenceSet:
     """Filter ascending candidate start positions down to true occurrences of ``t``.
 
@@ -100,8 +101,10 @@ def matching(
     occurrence lists guarantees; it is trusted only when δ = 0. Then every
     window's shape is t when |t_1 - t_m| != 1, and otherwise t exactly when
     its end samples are ordered as t_1 and t_m are (the exact corollary in
-    docs/lemmas.md), so no window is ranked. End samples of a ``range`` of
-    candidates are read as two slices of the series.
+    docs/lemmas.md), so no window is ranked. ``ends`` is ``_end_samples`` of
+    these candidates (their windows' first samples and their last samples),
+    read once for both children of a tie group (see ``_confirm``). Without
+    it, they are read here, those of a ``range`` as two slices of the series.
     """
     m = len(t)
     vals = series.values
@@ -111,13 +114,7 @@ def matching(
     if screened and params.delta == 0:
         if abs(t[0] - t[-1]) != 1:  # t is its parents' one child, so every window's shape
             return tuple(candidates)
-        if isinstance(candidates, range):
-            start, stop, step = candidates.start, candidates.stop, candidates.step
-            firsts = vals[start - 1 : stop - 1 : step]
-            lasts = vals[start + m - 2 : stop + m - 2 : step]
-        else:
-            firsts = map(vals.__getitem__, map((-1).__add__, candidates))
-            lasts = map(vals.__getitem__, map((m - 2).__add__, candidates))
+        firsts, lasts = ends or _end_samples(candidates, m, vals)
         return tuple(compress(candidates, map(gt if t[0] > t[-1] else lt, firsts, lasts)))
     at, shapes = index or _shape_index(candidates, m, vals, rank_memo(len(vals)))
     rows = tuple(map(_cost_rows(m, params.delta, params.gamma).__getitem__, t))
@@ -130,6 +127,17 @@ def _require_windows(candidates: Sequence[int], m: int, n: int) -> None:
     if candidates and not 1 <= candidates[0] <= candidates[-1] <= n - m + 1:
         bad = candidates[0] if candidates[0] < 1 else candidates[-1]
         raise ValueError(f"candidate position {bad} out of range for window length {m}")
+
+
+def _end_samples(
+    candidates: Sequence[int], m: int, vals: Sequence[float]
+) -> tuple[Sequence[float], Sequence[float]]:
+    """The first and the last sample of the length-m window at each candidate:
+    the series' own float objects, those of a ``range`` as two slices."""
+    if isinstance(candidates, range):
+        start, stop, step = candidates.start, candidates.stop, candidates.step
+        return vals[start - 1 : stop - 1 : step], vals[start + m - 2 : stop + m - 2 : step]
+    return [vals[x - 1] for x in candidates], [vals[x + m - 2] for x in candidates]
 
 
 def _shape_index(
@@ -236,21 +244,27 @@ def _confirm(
     charging them all to the windows tested, and kept if it reaches minsup.
     Given the level's memo ``ranks``, the children share one ``_shape_index``;
     given none, the level is exact fusion (``_reads_shapes``) and ``matching``
-    decides by sign.
+    decides by sign, so two children (a tie group, or level 2's two shapes)
+    share one ``_end_samples`` read.
     """
     m = len(children[0])
     stats.candidates_generated[m] = stats.candidates_generated.get(m, 0) + len(children)
     if prune and len(positions) < params.minsup:
         stats.patterns_pruned_by_count += len(children)
         return []
-    index = None
+    index = ends = None
     if ranks is not None:
         _require_windows(positions, m, len(series))
         index = _shape_index(positions, m, series.values, ranks)
+    elif len(children) > 1:
+        _require_windows(positions, m, len(series))
+        ends = _end_samples(positions, m, series.values)
     stats.matching_windows_tested += len(positions) * len(children)
     found = []
     for t in children:
-        a_t = matching(positions, t, series, params, screened=ranks is None, index=index)
+        a_t = matching(
+            positions, t, series, params, screened=ranks is None, index=index, ends=ends
+        )
         if len(a_t) >= params.minsup:
             found.append(FrequentPattern(t, a_t))
     return found

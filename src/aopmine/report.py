@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import BinaryIO, Iterable, Sequence
 
 from . import __version__
 from .core import FrequentPattern, MiningParams
@@ -50,7 +50,8 @@ def write_report(
     applies the automatic cutoff: position lists are kept unless they total
     more than OCCURRENCE_EMIT_LIMIT. The bytes are those of ``json.dump`` with
     ``indent=2`` of the documented payload, plus a newline, but the pattern
-    list is streamed in that layout rather than encoded, so no copy of the
+    list is streamed in that layout rather than encoded: its integers are
+    formatted a chunk at a time (``_write_ints``), so no copy of the
     occurrence lists is built.
     """
     path = Path(path)
@@ -76,33 +77,41 @@ def write_report(
             },
         },
         indent=2,
-    )
-    head, _, tail = rest.partition('"patterns": []')
+    ).encode("utf-8")
+    head, _, tail = rest.partition(b'"patterns": []')
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(head + '"patterns": [')
+        with open(path, "wb") as fh:
+            fh.write(head + b'"patterns": [')
             for i, fp in enumerate(ordered):
-                fh.write(("," if i else "") + '\n    {\n      "ranks": ')
+                fh.write((b"," if i else b"") + b'\n    {\n      "ranks": ')
                 _write_ints(fh, fp.pattern)
-                fh.write(f',\n      "support": {fp.support}')
+                fh.write(b',\n      "support": %d' % fp.support)
                 if include_occurrences:
-                    fh.write(',\n      "occurrences": ')
+                    fh.write(b',\n      "occurrences": ')
                     _write_ints(fh, fp.occurrences)
-                fh.write("\n    }")
-            fh.write(("\n  ]" if ordered else "]") + tail + "\n")
+                fh.write(b"\n    }")
+            fh.write((b"\n  ]" if ordered else b"]") + tail + b"\n")
     except OSError as exc:
         raise DataError(f"cannot write report {path}: {exc}") from exc
 
 
-def _write_ints(fh: TextIO, values: Sequence[int]) -> None:
+_CHUNK = 2048
+# "%d" for each of _CHUNK integers, each but the first after the separator
+# indent=2 puts between the items of a pattern entry's list; the first k
+# fields are its first 12k - 10 bytes
+_INTS = b",\n        ".join([b"%d"] * _CHUNK)
+
+
+def _write_ints(fh: BinaryIO, values: Sequence[int]) -> None:
     """An integer list laid out as indent=2 does inside a pattern entry; at
-    most 2048 positions are joined into one string at a time."""
-    fh.write("[")
-    for start in range(0, len(values), 2048):
-        chunk = values[start : start + 2048]
-        fh.write(",\n        " if start else "\n        ")
-        fh.write(",\n        ".join(map(str, chunk)))
-    fh.write("\n      ]" if values else "]")
+    most 2048 positions are formatted at a time, by one bytes ``%`` on a
+    prefix of one template."""
+    fh.write(b"[")
+    for start in range(0, len(values), _CHUNK):
+        chunk = tuple(values[start : start + _CHUNK])
+        fh.write(b",\n        " if start else b"\n        ")
+        fh.write(_INTS[: 12 * len(chunk) - 10] % chunk)
+    fh.write(b"\n      ]" if values else b"]")
 
 
 def write_bench(rows: Iterable[tuple[str, int, MiningStats, float]], path: str | Path) -> None:

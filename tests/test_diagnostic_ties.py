@@ -156,8 +156,10 @@ def test_exact_sign_path_equals_general_path(monkeypatch):
     real_matching = miner.matching
     paired = []
 
-    def both_paths(candidates, t, series, params, *, screened=False, index=None):
-        found = real_matching(candidates, t, series, params, screened=screened, index=index)
+    def both_paths(candidates, t, series, params, *, screened=False, index=None, ends=None):
+        found = real_matching(
+            candidates, t, series, params, screened=screened, index=index, ends=ends
+        )
         if screened:
             paired.append(t)
             assert real_matching(candidates, t, series, params, screened=True) == found

@@ -242,8 +242,10 @@ def test_children_share_one_shape_index_per_group(kind, delta, tied, monkeypatch
     real_confirm, real_matching = miner._confirm, miner.matching
     calls = []
 
-    def recorded_matching(candidates, t, series, params, *, screened=False, index=None):
-        found = real_matching(candidates, t, series, params, screened=screened, index=index)
+    def recorded_matching(candidates, t, series, params, *, screened=False, index=None, ends=None):
+        found = real_matching(
+            candidates, t, series, params, screened=screened, index=index, ends=ends
+        )
         assert found == real_matching(candidates, t, series, params), t
         calls.append((candidates, t, index))
         return found
@@ -267,6 +269,55 @@ def test_children_share_one_shape_index_per_group(kind, delta, tied, monkeypatch
     found, _ = mine(series, MiningParams(delta=delta, gamma=2 * delta, minsup=6, max_len=6), kind)
     assert max(map(len, (fp.pattern for fp in found))) >= 4
     assert max(groups) > 1  # some group has several children
+
+
+@pytest.mark.parametrize("kind", ["aop", "nopruning"])
+@pytest.mark.parametrize("tied", [False, True])
+def test_tie_groups_share_one_end_sample_read(kind, tied, monkeypatch):
+    # at delta = 0 fusion matches by end order: a group of two children (a tie
+    # group, or level 2's two shapes) reads its positions' end samples once and
+    # hands that read to both matching calls, and a one-child group reads none;
+    # matching still runs once per child, at the group's own positions, and
+    # finds what it finds when it reads the samples itself
+    import aopmine.miner as miner
+
+    real_confirm, real_matching = miner._confirm, miner.matching
+    calls = []
+
+    def recorded_matching(candidates, t, series, params, *, screened=False, index=None, ends=None):
+        found = real_matching(
+            candidates, t, series, params, screened=screened, index=index, ends=ends
+        )
+        assert found == real_matching(candidates, t, series, params, screened=screened), t
+        calls.append((candidates, t, index, ends))
+        return found
+
+    def checked_confirm(children, positions, prune, series, params, *rest):
+        calls.clear()
+        found = real_confirm(children, positions, prune, series, params, *rest)
+        if not (prune and len(positions) < params.minsup):
+            assert [t for _, t, _, _ in calls] == list(children)
+            assert all(candidates is positions and index is None for candidates, _, index, _ in calls)
+            reads = {id(ends) for _, _, _, ends in calls}
+            ends = calls[0][3]
+            if len(children) == 1:
+                assert ends is None
+            else:
+                assert len(reads) == 1 and ends is not None
+                m, vals = len(children[0]), series.values
+                assert list(ends[0]) == [vals[x - 1] for x in positions]
+                assert list(ends[1]) == [vals[x + m - 2] for x in positions]
+            groups.append(len(children))
+        return found
+
+    groups = []
+    monkeypatch.setattr(miner, "matching", recorded_matching)
+    monkeypatch.setattr(miner, "_confirm", checked_confirm)
+    series = _three_symbols(0, 300) if tied else _gaussian_walk(0, 300)
+    found, _ = mine(series, MiningParams(delta=0, gamma=0, minsup=6, max_len=6), kind)
+    # three symbols tie in every window of 4, which then fits no pattern at delta 0
+    assert max(map(len, (fp.pattern for fp in found))) >= (3 if tied else 4)
+    assert groups[0] == 2 and groups[1:].count(2) > 0 and groups.count(1) > 0
 
 
 @pytest.mark.parametrize("kind", MINERS)

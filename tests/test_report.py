@@ -109,11 +109,26 @@ class TestMiningReport:
 
     @pytest.mark.parametrize(
         "case",
-        ["no patterns", "suppressed", "empty stats", "name", "2047", "2048", "2049"],
+        [
+            "no patterns",
+            "suppressed",
+            "empty stats",
+            "name",
+            "empty occurrences",
+            "7 digits",
+            "lists",
+            "1",
+            "2047",
+            "2048",
+            "2049",
+            "4096",
+            "4097",
+        ],
     )
     def test_bytes_equal_json_dump(self, case, sample_run, sample_params, tmp_path):
-        # write_report streams the pattern list; the bytes must be exactly
-        # those of the standard encoder on the whole payload
+        # write_report streams the pattern list, formatting integers 2048 at a
+        # time; the bytes must be exactly those of the standard encoder on the
+        # whole payload, at every chunk boundary and for any int sequences
         stats = sample_run[1]
         dataset, algorithm, occurrences = "x", "aop", True
         found = [FrequentPattern((2, 1, 3), (4,)), FrequentPattern((1, 2), (1, 5, 9))]
@@ -125,6 +140,13 @@ class TestMiningReport:
             stats = MiningStats()
         elif case == "name":
             dataset = 'é "quoted" \\ \u2603 "patterns": []'
+        elif case == "empty occurrences":
+            found.append(FrequentPattern((1, 2, 3), ()))
+        elif case == "7 digits":
+            found.append(FrequentPattern((1, 2, 3), tuple(range(10**6, 10**6 + 2049))))
+        elif case == "lists":
+            found.append(FrequentPattern((1, 2, 3), tuple(range(3, 3 + 2049))))
+            found = [FrequentPattern(list(fp.pattern), list(fp.occurrences)) for fp in found]
         else:
             found.append(FrequentPattern((1, 2, 3), tuple(range(3, 3 + int(case)))))
         path = tmp_path / "out.json"

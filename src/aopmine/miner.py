@@ -24,7 +24,7 @@ from bisect import bisect_right
 from collections import deque
 from functools import cache
 from itertools import compress, repeat
-from operator import getitem, gt, lt, not_, sub
+from operator import getitem, gt, itemgetter, lt, not_, setitem, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import FrequentPattern, MiningParams, OccurrenceSet, Pattern, RankVector, Record
@@ -80,7 +80,7 @@ def matching(
     params: MiningParams,
     *,
     screened: bool = False,
-    index: tuple[list[RankVector], list[RankVector]] | None = None,
+    index: tuple[tuple[RankVector, ...], list[RankVector]] | None = None,
     ends: tuple[Sequence[float], Sequence[float]] | None = None,
 ) -> OccurrenceSet:
     """Filter ascending candidate start positions down to true occurrences of ``t``.
@@ -142,14 +142,14 @@ def _end_samples(
 
 def _shape_index(
     candidates: Sequence[int], m: int, vals: Sequence[float], ranks: RankMemo
-) -> tuple[list[RankVector], list[RankVector]]:
+) -> tuple[tuple[RankVector, ...], list[RankVector]]:
     """The length-m window shape at each candidate, and the distinct ones, from
     ``ranks``, the ``rank_memo`` of length m. An empty slot is composed from its two
     length-(m-1) windows and the sign of its first minus its last sample (docs/lemmas.md),
     ranked only when that key is new; without both ``shorter`` slots it is ranked alone.
-    The memo is read once, and again after filling empty slots."""
+    The memo is read with one ``_gather``, and again after filling empty slots."""
     shapes, shorter, composed = ranks
-    at = list(map(shapes.__getitem__, candidates))
+    at = _gather(shapes, candidates)
     if not all(at):
         for x in compress(candidates, map(not_, at)):
             if shorter is None or shorter[x] is None or shorter[x + 1] is None:
@@ -161,8 +161,16 @@ def _shape_index(
             if r is None:
                 r = composed[key] = compute_ranks(vals[x - 1 : x - 1 + m])
             shapes[x] = r
-        at = list(map(shapes.__getitem__, candidates))
+        at = _gather(shapes, candidates)
     return at, list(dict.fromkeys(at))
+
+
+def _gather(seq: Sequence, keys: Sequence[int]) -> tuple:
+    """``tuple(seq[k] for k in keys)`` in one C-level call. ``itemgetter`` gives a
+    scalar for one key and refuses none, so fewer than two keys are read one by one."""
+    if len(keys) > 1:
+        return itemgetter(*keys)(seq)
+    return tuple(map(seq.__getitem__, keys))
 
 
 @cache
@@ -180,11 +188,12 @@ def screen(a_p: OccurrenceSet, a_q: OccurrenceSet | bytearray) -> OccurrenceSet:
     """Positions x in the first occurrence list with x+1 in the second.
 
     Both lists are sorted. The second is marked in a bytearray indexed by
-    position and the first is probed against it, both in C; the series
-    itself is never consulted. The second argument may instead be that
-    bytearray already marked, ``_mark(a_q, n)`` with n at least the last
-    position of ``a_p``, so that one mark serves every list probed against
-    the same ``a_q``.
+    position (``_mark``) and the first is probed against it with one
+    ``_gather``, not one bound bytearray method call per position; the
+    series itself is never consulted. The second argument may instead be
+    that bytearray already marked, ``_mark(a_q, n)`` with n at least the
+    last position of ``a_p``, so that one mark serves every list probed
+    against the same ``a_q``; a shorter one raises ``IndexError``.
     """
     if not a_p:
         return ()
@@ -194,13 +203,15 @@ def screen(a_p: OccurrenceSet, a_q: OccurrenceSet | bytearray) -> OccurrenceSet:
         return ()
     else:
         marked = _mark(a_q, max(a_p[-1], a_q[-1]))
-    return tuple(compress(a_p, map(marked.__getitem__, a_p)))
+    return tuple(compress(a_p, _gather(marked, a_p)))
 
 
 def _mark(a_q: OccurrenceSet, n: int) -> bytearray:
-    """Slots 0..n of a bytearray, slot x set when x + 1 is in ``a_q``."""
+    """Slots 0..n of a bytearray, slot x set when x + 1 is in ``a_q``. The slots
+    are set by ``operator.setitem`` mapped over ``a_q``, not by one bound bytearray
+    method call per position."""
     marked = bytearray(n + 2)
-    deque(map(marked.__setitem__, a_q, repeat(1)), maxlen=0)
+    deque(map(setitem, repeat(marked), a_q, repeat(1)), maxlen=0)
     del marked[0]
     return marked
 

@@ -24,7 +24,7 @@ from aopmine import (
     scan_occurrences,
     screen,
 )
-from aopmine.miner import _confirm, _mark, _shape_index, rank_memo
+from aopmine.miner import _confirm, _length2_memo, _mark, _shape_index, rank_memo
 from conftest import (
     SAMPLE_EXPECTED,
     SAMPLE_VALUES,
@@ -63,6 +63,26 @@ class TestScreen:
             a_p = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
             a_q = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
             assert _screen_both(a_p, a_q) == _merge_screen(a_p, a_q), (a_p, a_q)
+
+    @pytest.mark.parametrize("a_p", [(5,), (1, 9), (1, 3, 9), (1, 3, 5)])
+    def test_premarked_array_shorter_than_the_probe_raises(self, a_p):
+        """A pre-marked array must reach ``a_p``'s last position: a shorter one
+        raises ``IndexError`` for any number of positions, rather than the probe
+        dropping the positions past its end."""
+        marked = _mark((2, 5), 4)  # slots 0..4, slots 1 and 4 set
+        assert screen((1, 3, 4), marked) == (1, 4)
+        with pytest.raises(IndexError):
+            screen(a_p, marked)
+
+    @pytest.mark.parametrize(
+        "a_q, n", [((), 0), ((), 5), ((1,), 5), ((6,), 5), ((3, 6), 5), ((1, 2), 1), ((2, 4), 7)]
+    )
+    def test_mark_equals_a_set_reference(self, a_q, n):
+        # slot x (0 <= x <= n) is set exactly when x + 1 is in a_q; (6,) and
+        # (3, 6) at n = 5 set the last slot, n itself
+        marked = _mark(a_q, n)
+        assert type(marked) is bytearray
+        assert list(marked) == [int(x + 1 in set(a_q)) for x in range(n + 1)]
 
 
 def _screen_both(a_p, a_q):
@@ -210,6 +230,41 @@ class TestMatching:
             for x in positions:
                 assert shapes[x] is None or shapes[x] == compute_ranks(vals[x - 1 : x - 1 + m])
             memo = ranks
+
+
+@pytest.mark.parametrize("filled", [False, True])
+@pytest.mark.parametrize(
+    "candidates",
+    [range(1, 40), range(3, 30, 4), range(7, 8), range(9, 9), (5, 6, 20), [2, 11, 38], (17,), [39], ()],
+    ids=repr,
+)
+def test_shape_index_reads_each_slot(candidates, filled):
+    # the memo read gathers one shape per candidate, in order, for ranges,
+    # tuples and lists of any length, the one-element and empty ones included;
+    # filled, the memo is read once; empty, its slots are filled and read again
+    series = _three_symbols(11, 42)
+    vals = series.values
+    m = 4
+    ranks = rank_memo(len(vals))
+    expected = tuple(compute_ranks(vals[x - 1 : x - 1 + m]) for x in candidates)
+    if filled:
+        ranks[0][1 : len(vals) - m + 2] = [
+            compute_ranks(vals[x - 1 : x - 1 + m]) for x in range(1, len(vals) - m + 2)
+        ]
+    at, distinct = _shape_index(candidates, m, vals, ranks)
+    assert type(at) is tuple and at == expected
+    assert distinct == list(dict.fromkeys(expected))
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_level_2_shape_index_reads_every_window(tied):
+    # level 2 at delta > 0 reads the length-2 memo at range(1, n)
+    series = _three_symbols(5, 300) if tied else _gaussian_walk(5, 300)
+    vals = series.values
+    n = len(vals)
+    at, distinct = _shape_index(range(1, n), 2, vals, _length2_memo(vals))
+    assert at == tuple(compute_ranks(vals[x - 1 : x + 1]) for x in range(1, n))
+    assert sorted(distinct) == ([(1, 1), (1, 2), (2, 1)] if tied else [(1, 2), (2, 1)])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

@@ -23,7 +23,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from functools import cache
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import getitem, gt, itemgetter, lt, not_, setitem, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -166,8 +166,12 @@ def _shape_index(
 
 
 def _gather(seq: Sequence, keys: Sequence[int]) -> tuple:
-    """``tuple(seq[k] for k in keys)`` in one C-level call. ``itemgetter`` gives a
-    scalar for one key and refuses none, so fewer than two keys are read one by one."""
+    """``tuple(seq[k] for k in keys)`` in one C-level call: a ``range`` as an ``islice``
+    of ``seq``, with no int object per key; other keys by ``itemgetter``, or one by one
+    when fewer than two (it gives a scalar for one key and refuses none). A slice stops
+    at the end of ``seq`` where a key past it raises, so callers check positions first."""
+    if isinstance(keys, range):
+        return tuple(islice(seq, keys.start, keys.stop, keys.step))
     if len(keys) > 1:
         return itemgetter(*keys)(seq)
     return tuple(map(seq.__getitem__, keys))
@@ -187,23 +191,18 @@ def _cost_rows(m: int, delta: int, gamma: int) -> tuple[tuple[int, ...], ...]:
 def screen(a_p: OccurrenceSet, a_q: OccurrenceSet | bytearray) -> OccurrenceSet:
     """Positions x in the first occurrence list with x+1 in the second.
 
-    Both lists are sorted. The second is marked in a bytearray indexed by
-    position (``_mark``) and the first is probed against it with one
-    ``_gather``, not one bound bytearray method call per position; the
-    series itself is never consulted. The second argument may instead be
-    that bytearray already marked, ``_mark(a_q, n)`` with n at least the
-    last position of ``a_p``, so that one mark serves every list probed
-    against the same ``a_q``; a shorter one raises ``IndexError``.
+    Both lists are sorted. The second is marked at most once, in a bytearray indexed by
+    position (``_mark``), and the first is probed against it with one ``_gather``, not
+    one bound bytearray method call per position; the series is never read. The second
+    argument may instead be that bytearray already marked, ``_mark(a_q, n)`` with n at
+    least the last position of ``a_p``, so one mark serves every list probed against the
+    same ``a_q``; a shorter one raises ``IndexError``. Either list empty gives ``()``.
     """
-    if not a_p:
-        return ()
-    if isinstance(a_q, bytearray):
-        marked = a_q
-    elif not a_q:
-        return ()
-    else:
-        marked = _mark(a_q, max(a_p[-1], a_q[-1]))
-    return tuple(compress(a_p, _gather(marked, a_p)))
+    if not isinstance(a_q, bytearray):
+        if not a_p or not a_q:
+            return ()
+        a_q = _mark(a_q, max(a_p[-1], a_q[-1]))
+    return tuple(compress(a_p, _gather(a_q, a_p)))
 
 
 def _mark(a_q: OccurrenceSet, n: int) -> bytearray:
@@ -249,26 +248,26 @@ def _confirm(
     """The prune-and-match step for candidates that share candidate positions,
     and the one place a run's counters are charged.
 
-    Every child counts as a candidate of its length. With ``prune`` set and
-    fewer than minsup positions, every child is counted as pruned and the
-    series is not touched; otherwise each child is matched at the positions,
-    charging them all to the windows tested, and kept if it reaches minsup.
-    Given the level's memo ``ranks``, the children share one ``_shape_index``;
-    given none, the level is exact fusion (``_reads_shapes``) and ``matching``
-    decides by sign, so two children (a tie group, or level 2's two shapes)
-    share one ``_end_samples`` read.
+    The positions are checked once (``_require_windows``), before any read or charge,
+    so a refused group leaves ``stats`` and ``ranks`` as they were. Every child counts
+    as a candidate of its length. With ``prune`` set and fewer than minsup positions,
+    every child is counted as pruned and the series is not touched; otherwise each
+    child is matched at the positions, charging them all to the windows tested, and
+    kept if it reaches minsup. Given the level's memo ``ranks``, the children share
+    one ``_shape_index``; given none, the level is exact fusion (``_reads_shapes``)
+    and ``matching`` decides by sign, so two children (a tie group, or level 2's two
+    shapes) share one ``_end_samples`` read.
     """
     m = len(children[0])
+    _require_windows(positions, m, len(series))
     stats.candidates_generated[m] = stats.candidates_generated.get(m, 0) + len(children)
     if prune and len(positions) < params.minsup:
         stats.patterns_pruned_by_count += len(children)
         return []
     index = ends = None
     if ranks is not None:
-        _require_windows(positions, m, len(series))
         index = _shape_index(positions, m, series.values, ranks)
     elif len(children) > 1:
-        _require_windows(positions, m, len(series))
         ends = _end_samples(positions, m, series.values)
     stats.matching_windows_tested += len(positions) * len(children)
     found = []

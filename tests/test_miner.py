@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -50,6 +51,7 @@ class TestScreen:
     def test_empty_lists_and_boundary_positions(self):
         assert _screen_both((1, 2, 3), ()) == ()
         assert _screen_both((), ()) == ()
+        assert _screen_both((), (2, 5)) == ()  # also against (2, 5) pre-marked
         assert _screen_both((1,), (2,)) == (1,)
         assert _screen_both((1,), (1,)) == ()
         assert _screen_both((5,), (6,)) == (5,)  # probes one past the larger last position
@@ -148,6 +150,17 @@ class TestMatching:
                     ((2, 3, 1, 5, 4),), bad, False, sample_series, sample_params, MiningStats(), ranks
                 )
         assert ranks == rank_memo(len(sample_series))
+
+    @pytest.mark.parametrize("prune", [False, True])
+    @pytest.mark.parametrize("bad", [(13,), (0,), (1, 13), (0, 12)], ids=repr)
+    def test_out_of_range_exact_group_is_refused_before_any_charge(self, sample_series, bad, prune):
+        # a one-child exact group reads neither a memo nor shared end samples;
+        # its positions are checked before any counter is charged, pruned or not
+        stats = MiningStats()
+        params = MiningParams(delta=0, gamma=0, minsup=2)
+        with pytest.raises(ValueError, match="out of range"):
+            _confirm(((2, 3, 1, 5, 4),), bad, prune, sample_series, params, stats, None)
+        assert stats == MiningStats()
 
     def test_ascending_candidates_are_checked_at_both_ends(self, sample_series, sample_params):
         with pytest.raises(ValueError, match="position 13 out of range"):
@@ -265,6 +278,22 @@ def test_level_2_shape_index_reads_every_window(tied):
     at, distinct = _shape_index(range(1, n), 2, vals, _length2_memo(vals))
     assert at == tuple(compute_ranks(vals[x - 1 : x + 1]) for x in range(1, n))
     assert sorted(distinct) == ([(1, 1), (1, 2), (2, 1)] if tied else [(1, 2), (2, 1)])
+
+
+def test_level_2_shape_index_makes_no_object_per_window():
+    # the memo read over range(1, n) builds only the result tuple (8 bytes
+    # a window as it grows), and no int object or argument slot per window
+    series = _gaussian_walk(0, 50_000)
+    vals = series.values
+    memo = _length2_memo(vals)
+    tracemalloc.start()
+    try:
+        at, _ = _shape_index(range(1, len(vals)), 2, vals, memo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(at) == len(vals) - 1
+    assert peak < 16 * len(at)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -925,17 +954,26 @@ class TestMineProperties:
                     assert supports.get(parent, 0) >= fp.support
 
 
+def _bank_input(kind: str, n: int) -> TimeSeries:
+    """Seed 0 of a benchmark input, generated and read back as the benchmark
+    writes it: a Gaussian walk at 4 decimals, or uniform over {1, 2, 3}."""
+    rng = random.Random(0)
+    if kind == "walk":
+        x, lines = 0.0, []
+        for _ in range(n):
+            x += rng.gauss(0.0, 1.0)
+            lines.append(f"{x:.4f}")
+    else:
+        lines = [str(rng.randint(1, 3)) for _ in range(n)]
+    return TimeSeries(map(float, lines))
+
+
 @pytest.fixture(scope="module")
 def long_walk():
-    """An 800-sample Gaussian walk written as the benchmark writes its walks
-    (seed 0, 4 decimals), δ2/γ4/minsup 20, and the window-scan positions of
-    every pattern of length 8 or more that aop reports, scanned once."""
-    rng = random.Random(0)
-    x, lines = 0.0, []
-    for _ in range(800):
-        x += rng.gauss(0.0, 1.0)
-        lines.append(f"{x:.4f}")
-    series = TimeSeries(map(float, lines))
+    """The dense-approx input (800-sample walk), δ2/γ4/minsup 20, and the
+    window-scan positions of every pattern of length 8 or more that aop
+    reports, scanned once."""
+    series = _bank_input("walk", 800)
     params = MiningParams(delta=2, gamma=4, minsup=20)
     found, _ = mine(series, params, "aop")
     scanned = {
@@ -977,3 +1015,43 @@ def test_occurrences_past_length_7_equal_a_window_scan(kind, long_walk):
         stats.patterns_pruned_by_count,
     )
     assert counters == LONG_WALK_COUNTERS[kind]
+
+
+BASELINE_CANDIDATES = {2: 2, 3: 6, 4: 24, 5: 120, 6: 673}
+BANK_COUNTERS = {
+    # (input, params), then per strategy: patterns, candidates by length,
+    # windows tested, patterns pruned; the counters benchmarks/expected.json
+    # records for these workloads at seed 0
+    "long-exact": (
+        ("walk", 50_000, MiningParams(delta=0, gamma=0, minsup=500)),
+        {
+            "aop": (70, {2: 2, 3: 6, 4: 24, 5: 120, 6: 47, 7: 14, 8: 2}, 296_208, 121),
+        },
+    ),
+    "baselines": (
+        ("tri", 5_000, MiningParams(delta=1, gamma=2, minsup=50)),
+        {
+            "aop": (148, BASELINE_CANDIDATES, 79_270, 673),
+            "nopruning": (148, BASELINE_CANDIDATES, 90_100, 0),
+            "em": (148, {**BASELINE_CANDIDATES, 6: 696}, 167_668, 0),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "workload, kind",
+    [(workload, kind) for workload, (_, runs) in BANK_COUNTERS.items() for kind in runs],
+)
+def test_bank_input_counters(workload, kind):
+    # the long-exact and baselines seed-0 inputs; dense-approx's are pinned
+    # by test_occurrences_past_length_7_equal_a_window_scan
+    (series_kind, n, params), runs = BANK_COUNTERS[workload]
+    found, stats = mine(_bank_input(series_kind, n), params, kind)
+    counters = (
+        len(found),
+        stats.candidates_generated,
+        stats.matching_windows_tested,
+        stats.patterns_pruned_by_count,
+    )
+    assert counters == runs[kind]

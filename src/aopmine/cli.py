@@ -16,7 +16,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Any, Sequence, TextIO
+from typing import Any, Iterable, Sequence, TextIO
 
 from . import __version__
 from .core import FrequentPattern
@@ -190,19 +190,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
     spec, params = build_run_config(values)
     out_path = _resolve_output(spec, values.get("output"), "bench.csv", args.config)
     series = load_series(spec)
-    runs = {}
-    # the oracle first: it refuses an intractable max length before any mining
-    for name in sorted(names, key=lambda name: name != "oracle"):
+    row_of = {}
+
+    def run(name: str) -> Sequence[FrequentPattern]:
+        """The strategy's patterns; its row (pattern count, counters, mean
+        seconds) is kept. No repeat's result is held while the next one runs."""
         times = []
         for _ in range(args.repeat):
+            result = None  # drop the last repeat's before this one runs
             start = time.perf_counter()
-            found, stats = mine(series, params, name)
+            result = mine(series, params, name)
             times.append(time.perf_counter() - start)
-        runs[name] = found, stats, math.fsum(times) / len(times)
-    rows = [(name, len(runs[name][0]), *runs[name][1:]) for name in names]
+        found, stats = result
+        row_of[name] = name, len(found), stats, math.fsum(times) / len(times)
+        return found
 
-    agree = _compare({name: runs[name][0] for name in names}, sys.stderr)
+    # the oracle first: it refuses an intractable max length before any mining.
+    # Its patterns wait for its listed turn; every other strategy is mined at
+    # its turn, and _compare drops each one's patterns once compared
+    early = {"oracle": run("oracle")} if "oracle" in names else {}
+    agree = _compare(
+        ((name, early.pop(name) if name in early else run(name)) for name in names), sys.stderr
+    )
 
+    rows = [row_of[name] for name in names]
     write_bench(rows, out_path)
     print("\n".join(bench_table(rows)))
     print(f"bench: {out_path}")
@@ -218,19 +229,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     outcomes = {name: mine(series, params, name)[0] for name in ("oracle", "aop")}
     for name, found in outcomes.items():
         print(f"{name}: {len(found)} patterns")
-    agree = _compare(outcomes, sys.stdout)
+    agree = _compare(outcomes.items(), sys.stdout)
     print(f"verdict: {'MATCH' if agree else 'MISMATCH'}")
     return EXIT_OK if agree else EXIT_MISMATCH
 
 
-def _compare(outcomes: dict[str, Sequence[FrequentPattern]], out: TextIO) -> bool:
+def _compare(outcomes: Iterable[tuple[str, Sequence[FrequentPattern]]], out: TextIO) -> bool:
     """Whether every strategy found the first one's patterns and occurrences;
-    each one that did not is named on ``out``, followed by the diff."""
-    (first, reference), *rest = [
-        (name, {fp.pattern: fp.occurrences for fp in found}) for name, found in outcomes.items()
-    ]
+    each one that did not is named on ``out``, followed by the diff. The
+    ``(name, patterns)`` pairs are read one at a time and each is dropped once
+    compared, so of them only the first one's occurrence map is held throughout."""
+    maps = map(_occurrence_map, outcomes)  # map holds no pair between two reads
+    first, reference = next(maps)
     agree = True
-    for name, got in rest:
+    for name, got in maps:
         if got != reference:
             agree = False
             print(
@@ -239,7 +251,13 @@ def _compare(outcomes: dict[str, Sequence[FrequentPattern]], out: TextIO) -> boo
                 file=out,
             )
             _print_diff(name, got, first, reference, out)
+        del got  # not held while the next pair is read
     return agree
+
+
+def _occurrence_map(outcome: tuple[str, Sequence[FrequentPattern]]) -> tuple[str, dict]:
+    name, found = outcome
+    return name, {fp.pattern: fp.occurrences for fp in found}
 
 
 def _print_pattern_summary(found: Sequence[FrequentPattern]) -> None:

@@ -202,6 +202,8 @@ def screen(a_p: OccurrenceSet, a_q: OccurrenceSet | bytearray) -> OccurrenceSet:
         if not a_p or not a_q:
             return ()
         a_q = _mark(a_q, max(a_p[-1], a_q[-1]))
+    elif a_p and a_p[-1] >= len(a_q):  # _gather's slice of a range would stop at the end
+        raise IndexError("bytearray index out of range")
     return tuple(compress(a_p, _gather(a_q, a_p)))
 
 

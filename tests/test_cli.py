@@ -10,13 +10,14 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import aopmine
 from aopmine.cli import _print_diff, build_parser, main
-from aopmine.core import MiningParams
+from aopmine.core import FrequentPattern, MiningParams
 from aopmine.ingest import _CONFIG_KEYS, DatasetSpec, load_series
 from aopmine.report import BENCH_COLUMNS
 
@@ -410,6 +411,51 @@ class TestBenchCommand:
         assert [row["wall_time_s"] for row in rows] == ["2.000000"]
         table = table_rows(capsys.readouterr().out)
         assert [line.split()[-1] for _, line in table] == ["2.000000"]
+
+    @pytest.mark.parametrize(
+        "algorithms, flags",
+        [
+            ("aop,nopruning,em,scan_em", []),
+            ("em,oracle,aop", ["--max-length", "5"]),
+            ("aop,nopruning,em", ["--repeat", "2"]),
+        ],
+    )
+    def test_only_the_reference_outlives_its_comparison(
+        self, workdir, monkeypatch, capsys, algorithms, flags
+    ):
+        # every run's pattern list and occurrence lists are list subclasses,
+        # which take weak references. When a run starts, an earlier run is
+        # alive exactly when it is the reference's (the first listed) last
+        # repeat, or the oracle's, mined first, before its listed turn
+        import aopmine.cli as cli
+
+        class Observed(list):
+            pass
+
+        names = algorithms.split(",")
+        runs = []  # (strategy, weak references to its result), in run order
+        real_mine = cli.mine
+
+        def observed_mine(series, params, kind="aop"):
+            for i, (earlier, refs) in enumerate(runs):
+                last_repeat = earlier != kind and all(later != earlier for later, _ in runs[i + 1:])
+                held = earlier == names[0] or (
+                    earlier == "oracle" and names.index(kind) < names.index("oracle")
+                )
+                alive = any(ref() is not None for ref in refs)
+                assert alive == (last_repeat and held), (earlier, i, kind, algorithms)
+            found, stats = real_mine(series, params, kind)
+            found = Observed(FrequentPattern(fp.pattern, Observed(fp.occurrences)) for fp in found)
+            runs.append((kind, [weakref.ref(found), *(weakref.ref(fp.occurrences) for fp in found)]))
+            return found, stats
+
+        monkeypatch.setattr(cli, "mine", observed_mine)
+        argv = ["bench", *MINE_FLAGS, "--algorithms", algorithms, *flags, "--output", "b.csv"]
+        assert main(argv) == 0
+        repeat = 2 if "--repeat" in flags else 1
+        assert sorted(kind for kind, _ in runs) == sorted(names * repeat)
+        assert not any(ref() for _, refs in runs for ref in refs)
+        assert [algorithm for algorithm, _ in table_rows(capsys.readouterr().out)] == names
 
     def test_unknown_algorithm_exits_1(self, workdir, capsys):
         assert main(["bench", *MINE_FLAGS, "--algorithms", "aop,warp"]) == 1

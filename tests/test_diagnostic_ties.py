@@ -19,6 +19,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
+
 from aopmine import (
     MiningParams,
     TimeSeries,
@@ -29,6 +31,7 @@ from aopmine import (
     mine,
     oracle_mine,
     prefixorder,
+    scan_occurrences,
     suffixorder,
 )
 from conftest import freq_map, occurs, random_series
@@ -225,3 +228,27 @@ def test_tied_inputs_keep_counter_dominance():
             <= stats["nopruning"].matching_windows_tested
             <= stats["scan_em"].matching_windows_tested
         )
+
+
+@pytest.mark.parametrize("p", range(5, 9))
+def test_period_of_distinct_values_past_its_length(p):
+    # a period-p series of p distinct values: each window of length m <= p is
+    # tie-free and its shape recurs every p samples, while every longer window
+    # has a tie, between its first and last samples at length p + 1, so at
+    # delta 0 the frequent set is every window shape of length 2..p and
+    # nothing longer, however far max_len reaches past p
+    values = random.Random(p).sample(range(p), p)
+    vals = tuple(float(values[i % p]) for i in range(200))
+    series = TimeSeries(vals)
+    params = MiningParams(delta=0, gamma=0, minsup=5, max_len=p + 3)
+    found = {kind: freq_map(mine(series, params, kind)[0]) for kind in MINERS}
+    for kind in MINERS:
+        assert found[kind] == found["aop"], kind
+    shapes = {
+        tuple(sorted(window).index(v) + 1 for v in window)
+        for m in range(2, p + 1)
+        for window in (vals[x : x + m] for x in range(len(vals) - m + 1))
+    }
+    assert set(found["aop"]) == shapes
+    for pattern, occurrences in found["aop"].items():
+        assert occurrences == scan_occurrences(pattern, series, params), pattern

@@ -66,13 +66,14 @@ class TestScreen:
             a_q = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
             assert _screen_both(a_p, a_q) == _merge_screen(a_p, a_q), (a_p, a_q)
 
-    @pytest.mark.parametrize("a_p", [(5,), (1, 9), (1, 3, 9), (1, 3, 5)])
+    @pytest.mark.parametrize("a_p", [(5,), (1, 9), (1, 3, 9), (1, 3, 5), range(1, 10)])
     def test_premarked_array_shorter_than_the_probe_raises(self, a_p):
         """A pre-marked array must reach ``a_p``'s last position: a shorter one
-        raises ``IndexError`` for any number of positions, rather than the probe
-        dropping the positions past its end."""
+        raises ``IndexError`` for any number of positions, a ``range`` too,
+        rather than the probe dropping the positions past its end."""
         marked = _mark((2, 5), 4)  # slots 0..4, slots 1 and 4 set
         assert screen((1, 3, 4), marked) == (1, 4)
+        assert screen(range(1, 5), marked) == (1, 4)
         with pytest.raises(IndexError):
             screen(a_p, marked)
 

@@ -93,7 +93,9 @@ def matching(
     ``index`` is ``_shape_index`` of these candidates (each one's shape, and
     the distinct shapes), shared by the children of one candidate group (see
     ``_confirm``): a child tests its fit once per distinct shape, by cost
-    table (docs/lemmas.md), and keeps its candidates in one pass. Without an
+    table (docs/lemmas.md), and keeps its candidates in one pass. When every
+    distinct shape fits, the result is ``tuple(candidates)``, which for a tuple
+    is the argument itself, so it shares its position objects. Without an
     index, one is built from a fresh rank memo.
 
     Set ``screened`` only when ``prefixorder(t)`` occurs exactly at every
@@ -119,6 +121,8 @@ def matching(
     at, shapes = index or _shape_index(candidates, m, vals, rank_memo(len(vals)))
     rows = tuple(map(_cost_rows(m, params.delta, params.gamma).__getitem__, t))
     fits = dict(zip(shapes, [sum(map(getitem, rows, r)) <= params.gamma for r in shapes]))
+    if all(fits.values()):
+        return tuple(candidates)
     return tuple(compress(candidates, map(fits.__getitem__, at)))
 
 
@@ -256,9 +260,11 @@ def _confirm(
     every child is counted as pruned and the series is not touched; otherwise each
     child is matched at the positions, charging them all to the windows tested, and
     kept if it reaches minsup. Given the level's memo ``ranks``, the children share
-    one ``_shape_index``; given none, the level is exact fusion (``_reads_shapes``)
-    and ``matching`` decides by sign, so two children (a tie group, or level 2's two
-    shapes) share one ``_end_samples`` read.
+    one ``_shape_index``; after that read, a ``range`` with several children (level 2,
+    a ``scan_em`` group) is made a tuple once and every child is matched against it,
+    so their occurrence lists share its int objects. Given none, the level is exact
+    fusion (``_reads_shapes``) and ``matching`` decides by sign, so two children (a tie
+    group, or level 2's two shapes) share one ``_end_samples`` read.
     """
     m = len(children[0])
     _require_windows(positions, m, len(series))
@@ -269,6 +275,8 @@ def _confirm(
     index = ends = None
     if ranks is not None:
         index = _shape_index(positions, m, series.values, ranks)
+        if isinstance(positions, range) and len(children) > 1:
+            positions = tuple(positions)
     elif len(children) > 1:
         ends = _end_samples(positions, m, series.values)
     stats.matching_windows_tested += len(positions) * len(children)

@@ -128,6 +128,21 @@ class TestMatching:
         with pytest.raises(TypeError):
             matching((3, 6, 11), (2, 3, 1, 5, 4), sample_series, sample_params, MiningStats())
 
+    def test_all_fit_tuple_is_returned_itself(self, sample_series):
+        candidates = (3, 6, 11)
+        loose = MiningParams(delta=5, gamma=20, minsup=1)
+        assert matching(candidates, (2, 3, 1, 5, 4), sample_series, loose) is candidates
+
+    def test_partial_fit_is_a_new_filtered_tuple(self, sample_series, sample_params):
+        candidates = (3, 6, 11)
+        got = matching(candidates, (2, 3, 1, 5, 4), sample_series, sample_params)
+        assert type(got) is tuple and got is not candidates and got == (6, 11)
+
+    def test_all_fit_list_gives_an_equal_tuple(self, sample_series):
+        loose = MiningParams(delta=5, gamma=20, minsup=1)
+        got = matching([3, 6, 11], (2, 3, 1, 5, 4), sample_series, loose)
+        assert type(got) is tuple and got == (3, 6, 11)
+
     def test_empty_candidates(self, sample_series, sample_params):
         assert matching((), (2, 3, 1, 5, 4), sample_series, sample_params) == ()
 
@@ -297,6 +312,64 @@ def test_level_2_shape_index_makes_no_object_per_window():
     assert peak < 16 * len(at)
 
 
+def test_level_2_keeps_one_int_object_per_window():
+    # at delta 1, gamma 2 both length-2 shapes fit every window: level 2 keeps
+    # one tuple of the windows' positions, which both occurrence lists are, and
+    # one int object per window (8 + 28 bytes), not two of each
+    series = _gaussian_walk(0, 50_000)
+    n = len(series)
+    memo = _length2_memo(series.values)
+    params = MiningParams(delta=1, gamma=2, minsup=500)
+    tracemalloc.start()
+    try:
+        level = _confirm(((1, 2), (2, 1)), range(1, n), False, series, params, MiningStats(), memo)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [fp.support for fp in level] == [n - 1, n - 1]
+    assert kept < 48 * (n - 1)
+
+
+def test_level_2_lists_are_one_tuple_when_every_window_fits():
+    series = _gaussian_walk(0, 50_000)
+    found, _ = mine(series, MiningParams(delta=1, gamma=2, minsup=500, max_len=2))
+    a, b = (fp.occurrences for fp in found)
+    assert type(a) is tuple and a is b and a == tuple(range(1, len(series)))
+
+
+@pytest.mark.parametrize("kind", ["aop", "nopruning", "em"])
+@pytest.mark.parametrize("tied", [False, True])
+def test_equal_positions_are_one_int_object_across_levels(kind, tied):
+    # every list of a run is drawn from level 2's one tuple: screening, the
+    # prefix slices and matching keep their input's int objects, so a position
+    # is one object in every list (scan_em starts each group from a fresh
+    # range, so it shares only within a group)
+    series = _three_symbols(1, 3_000) if tied else _gaussian_walk(1, 3_000)
+    found, _ = mine(series, MiningParams(delta=1, gamma=2, minsup=30, max_len=6), kind)
+    assert max(len(fp.pattern) for fp in found) >= 5
+    first = {}
+    for fp in found:
+        assert all(first.setdefault(x, x) is x for x in fp.occurrences), fp.pattern
+    assert max(first) > 2_000
+
+
+def test_chained_memo_tells_ends_in_one_gap_apart():
+    # two adjacent windows of length M share their interior 1..M-2, and their
+    # ends sit in one gap of it in opposite order, so their shorter windows have
+    # equal shapes and only the end sign of the composition key tells them apart
+    for M in range(3, 15):
+        k = (M - 2) // 2
+        interior = [float(v) for v in range(1, M - 1)]
+        vals = (k + 0.6, *interior, k + 0.3, k + 0.3, *interior, k + 0.6)
+        memo = _length2_memo(vals)
+        for m in range(3, M + 1):
+            memo = rank_memo(len(vals), memo[0])
+            positions = range(1, len(vals) - m + 2)
+            at, _ = _shape_index(positions, m, vals, memo)
+            expected = tuple(compute_ranks(vals[x - 1 : x - 1 + m]) for x in positions)
+            assert at == expected, (M, m)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_cost_table_fit_equals_both_distances(m):
     # every rank vector of m samples, tied ones included, offered to matching
@@ -320,8 +393,10 @@ def test_cost_table_fit_equals_both_distances(m):
 @pytest.mark.parametrize("tied", [False, True])
 def test_children_share_one_shape_index_per_group(kind, delta, tied, monkeypatch):
     # at delta > 0 each candidate group indexes its positions' shapes once;
-    # matching still runs once per child, at the group's own positions, and
-    # finds what it finds with no index
+    # matching still runs once per child, every child against one candidates
+    # object equal to the group's positions (a tuple of a range shared by
+    # several children, else the positions themselves), and finds what it
+    # finds with no index
     import aopmine.miner as miner
 
     real_confirm, real_matching = miner._confirm, miner.matching
@@ -340,7 +415,13 @@ def test_children_share_one_shape_index_per_group(kind, delta, tied, monkeypatch
         found = real_confirm(children, positions, prune, series, params, *rest)
         if not (prune and len(positions) < params.minsup):
             assert [t for _, t, _ in calls] == list(children)
-            assert all(candidates is positions for candidates, _, _ in calls)
+            shared = calls[0][0]
+            assert all(candidates is shared for candidates, _, _ in calls)
+            assert tuple(shared) == tuple(positions)
+            if isinstance(positions, range) and len(children) > 1:
+                assert type(shared) is tuple
+            else:
+                assert shared is positions
             indexes = {id(index) for _, _, index in calls}
             assert len(indexes) == 1 and calls[0][2] is not None
             groups.append(len(children))

@@ -108,6 +108,22 @@ class TestFuse:
         assert len(produced) == len(set(produced))
         assert set(produced) == set(itertools.permutations(range(1, m + 2)))
 
+    def test_every_window_is_a_child_of_its_parents(self):
+        # seeded random tie-free windows of length 3-13: fusing a window's
+        # prefix and suffix shapes produces it, and a tie pair (the head of one
+        # equal to the tail of the other) produces exactly two children
+        rng = random.Random(0)
+        ties = 0
+        for m in range(3, 14):
+            for _ in range(200):
+                t = compute_ranks([rng.random() for _ in range(m)])
+                p, q = prefixorder(t), suffixorder(t)
+                produced = fuse(p, q).produced
+                assert t in produced, t
+                assert len(produced) == (2 if p[0] == q[-1] else 1), t
+                ties += p[0] == q[-1]
+        assert ties > 200
+
 
 def _sorting_fuse(p, q):
     """Fusion as first written: shapes by ranking, both children built, then picked."""

@@ -27,6 +27,7 @@ class Mutant(NamedTuple):
     fault: str
 
 
+CLI = "src/aopmine/cli.py"
 MINER = "src/aopmine/miner.py"
 PATTERNS = "src/aopmine/patterns.py"
 
@@ -142,5 +143,34 @@ CATALOGUE = (
         "if all(fits.values()):",
         "if any(fits.values()):",
         "matching keeps every candidate when only some distinct shapes fit",
+    ),
+    Mutant(
+        "scan-em-range-per-group",
+        MINER,
+        "        yield enumerate_extensions(fp.pattern), windows\n",
+        "        yield enumerate_extensions(fp.pattern), range(1, n - len(fp.pattern) + 1)\n",
+        "each scan_em group is tried at its own range, so its lists hold their own ints",
+    ),
+    # bench and check mine and compare strategies in one loop
+    Mutant(
+        "compare-with-the-previous-strategy",
+        CLI,
+        "        del got  # not held while the next strategy runs\n",
+        "        first, reference = name, got\n",
+        "each strategy is compared with the one before it instead of the first",
+    ),
+    Mutant(
+        "intractable-oracle-refused-only-at-its-turn",
+        CLI,
+        '    if "oracle" in names:\n        require_tractable(max_len)\n',
+        "",
+        "the strategies listed before an intractable oracle are mined before it is refused",
+    ),
+    Mutant(
+        "compared-map-held-through-the-next-run",
+        CLI,
+        "        del got  # not held while the next strategy runs\n",
+        "",
+        "each strategy's occurrence map is held while the next strategy runs",
     ),
 )

@@ -16,7 +16,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Callable, Sequence, TextIO
 
 from . import __version__
 from .core import FrequentPattern
@@ -24,6 +24,7 @@ from .errors import ConfigError, DataError
 from .ingest import _CONFIG_KEYS, FORMATS, DatasetSpec, _convert_column
 from .ingest import build_run_config, load_series, parse_config
 from .miner import ALGORITHMS, mine
+from .oracle import require_tractable
 from .report import bench_table, write_bench, write_report
 
 EXIT_OK = 0
@@ -32,6 +33,7 @@ EXIT_DATA = 2
 EXIT_MISMATCH = 3
 
 OUTPUT_DIR_ENV = "AOPMINE_OUTPUT_DIR"
+DIFF_LINES = 20  # differing patterns shown per disagreement
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,11 +192,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     spec, params = build_run_config(values)
     out_path = _resolve_output(spec, values.get("output"), "bench.csv", args.config)
     series = load_series(spec)
-    row_of = {}
+    rows = []
 
     def run(name: str) -> Sequence[FrequentPattern]:
         """The strategy's patterns; its row (pattern count, counters, mean
-        seconds) is kept. No repeat's result is held while the next one runs."""
+        seconds) is appended. No repeat's result is held while the next one runs."""
         times = []
         for _ in range(args.repeat):
             result = None  # drop the last repeat's before this one runs
@@ -202,18 +204,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             result = mine(series, params, name)
             times.append(time.perf_counter() - start)
         found, stats = result
-        row_of[name] = name, len(found), stats, math.fsum(times) / len(times)
+        rows.append((name, len(found), stats, math.fsum(times) / len(times)))
         return found
 
-    # the oracle first: it refuses an intractable max length before any mining.
-    # Its patterns wait for its listed turn; every other strategy is mined at
-    # its turn, and _compare drops each one's patterns once compared
-    early = {"oracle": run("oracle")} if "oracle" in names else {}
-    agree = _compare(
-        ((name, early.pop(name) if name in early else run(name)) for name in names), sys.stderr
-    )
-
-    rows = [row_of[name] for name in names]
+    agree = _mine_and_compare(names, run, params.max_len, sys.stderr)
     write_bench(rows, out_path)
     print("\n".join(bench_table(rows)))
     print(f"bench: {out_path}")
@@ -225,24 +219,31 @@ def cmd_check(args: argparse.Namespace) -> int:
     values.setdefault("max_length", 5)
     spec, params = build_run_config(values)
     series = load_series(spec)
-    # the oracle first: it refuses an intractable max length before any mining
-    outcomes = {name: mine(series, params, name)[0] for name in ("oracle", "aop")}
-    for name, found in outcomes.items():
+
+    def run(name: str) -> Sequence[FrequentPattern]:
+        found = mine(series, params, name)[0]
         print(f"{name}: {len(found)} patterns")
-    agree = _compare(outcomes.items(), sys.stdout)
+        return found
+
+    agree = _mine_and_compare(("oracle", "aop"), run, params.max_len, sys.stdout)
     print(f"verdict: {'MATCH' if agree else 'MISMATCH'}")
     return EXIT_OK if agree else EXIT_MISMATCH
 
 
-def _compare(outcomes: Iterable[tuple[str, Sequence[FrequentPattern]]], out: TextIO) -> bool:
-    """Whether every strategy found the first one's patterns and occurrences;
-    each one that did not is named on ``out``, followed by the diff. The
-    ``(name, patterns)`` pairs are read one at a time and each is dropped once
-    compared, so of them only the first one's occurrence map is held throughout."""
-    maps = map(_occurrence_map, outcomes)  # map holds no pair between two reads
-    first, reference = next(maps)
+def _mine_and_compare(
+    names: Sequence[str], run: Callable[[str], Sequence], max_len: int | None, out: TextIO
+) -> bool:
+    """Mine each strategy with ``run``, in order, and whether every one found the
+    first one's patterns and occurrences; each one that did not is named on ``out``
+    as it finishes, then the diff. A listed oracle refuses an intractable ``max_len``
+    before any mining. Only the first strategy's occurrence map outlives its run."""
+    if "oracle" in names:
+        require_tractable(max_len)
+    first, *rest = names
+    reference = {fp.pattern: fp.occurrences for fp in run(first)}
     agree = True
-    for name, got in maps:
+    for name in rest:
+        got = {fp.pattern: fp.occurrences for fp in run(name)}
         if got != reference:
             agree = False
             print(
@@ -251,13 +252,8 @@ def _compare(outcomes: Iterable[tuple[str, Sequence[FrequentPattern]]], out: Tex
                 file=out,
             )
             _print_diff(name, got, first, reference, out)
-        del got  # not held while the next pair is read
+        del got  # not held while the next strategy runs
     return agree
-
-
-def _occurrence_map(outcome: tuple[str, Sequence[FrequentPattern]]) -> tuple[str, dict]:
-    name, found = outcome
-    return name, {fp.pattern: fp.occurrences for fp in found}
 
 
 def _print_pattern_summary(found: Sequence[FrequentPattern]) -> None:
@@ -267,21 +263,19 @@ def _print_pattern_summary(found: Sequence[FrequentPattern]) -> None:
         print(f"  length {length}: {by_length[length]}")
 
 
-def _print_diff(a: str, a_map: dict, b: str, b_map: dict, out: TextIO, limit: int = 20) -> None:
+def _print_diff(a: str, a_map: dict, b: str, b_map: dict, out: TextIO) -> None:
     """One line per pattern whose occurrence lists differ between strategies
-    ``a`` and ``b``: supports, then the positions found on one side only."""
-    shown = 0
-    for pattern in sorted(set(a_map) | set(b_map), key=lambda p: (len(p), p)):
+    ``a`` and ``b``: supports, then the positions found on one side only. The
+    first ``DIFF_LINES`` are shown, then ``  ...``."""
+    patterns = sorted(set(a_map) | set(b_map), key=lambda p: (len(p), p))
+    differing = [p for p in patterns if a_map.get(p, ()) != b_map.get(p, ())]
+    for pattern in differing[:DIFF_LINES]:
         left, right = a_map.get(pattern, ()), b_map.get(pattern, ())
-        if left == right:
-            continue
-        if shown == limit:
-            print("  ...", file=out)
-            break
         print(
             f"  {pattern}: {a}={len(left)} {b}={len(right)}; "
             f"{a} only {sorted(set(left) - set(right))}, "
             f"{b} only {sorted(set(right) - set(left))}",
             file=out,
         )
-        shown += 1
+    if len(differing) > DIFF_LINES:
+        print("  ...", file=out)

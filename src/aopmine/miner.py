@@ -260,11 +260,11 @@ def _confirm(
     every child is counted as pruned and the series is not touched; otherwise each
     child is matched at the positions, charging them all to the windows tested, and
     kept if it reaches minsup. Given the level's memo ``ranks``, the children share
-    one ``_shape_index``; after that read, a ``range`` with several children (level 2,
-    a ``scan_em`` group) is made a tuple once and every child is matched against it,
-    so their occurrence lists share its int objects. Given none, the level is exact
-    fusion (``_reads_shapes``) and ``matching`` decides by sign, so two children (a tie
-    group, or level 2's two shapes) share one ``_end_samples`` read.
+    one ``_shape_index``; after that read, a ``range`` with several children (level 2)
+    is made a tuple once and every child is matched against it, so their occurrence
+    lists share its int objects. Given none, the level is exact fusion
+    (``_reads_shapes``) and ``matching`` decides by sign, so two children (a tie group,
+    or level 2's two shapes) share one ``_end_samples`` read.
     """
     m = len(children[0])
     _require_windows(positions, m, len(series))
@@ -317,9 +317,11 @@ def _extended_prefix(level: Sequence[FrequentPattern], n: int) -> CandidateGroup
 
 
 def _extended_scan(level: Sequence[FrequentPattern], n: int) -> CandidateGroups:
-    """Enumeration candidates at every window of their length."""
+    """Enumeration candidates at every window of their length. Every group of the
+    level shares one tuple of window starts, so its occurrence lists share the ints."""
+    windows = tuple(range(1, n - len(level[0].pattern) + 1)) if level else ()
     for fp in level:
-        yield enumerate_extensions(fp.pattern), range(1, n - len(fp.pattern) + 1)
+        yield enumerate_extensions(fp.pattern), windows
 
 
 # kind -> (candidates grouped with the positions they share, prune)

@@ -29,7 +29,7 @@ def oracle_mine(
     stop), and ``max_len`` that is None or beyond 7 is refused as intractable;
     one that is not a positive int is refused as ``MiningParams`` refuses it.
     """
-    _require_tractable(max_len)
+    require_tractable(max_len)
     found = []
     for m in range(2, max_len + 1):
         window_ranks = _window_ranks(series.values, m)
@@ -52,7 +52,7 @@ def oracle_exact_opp(
     vector, so one pass per length tallies every support. Windows containing
     ties have non-permutation rank vectors and can never match.
     """
-    _require_tractable(max_len)
+    require_tractable(max_len)
     MiningParams(0, 0, minsup)  # refuses a minsup that a run would refuse
     found = []
     for m in range(2, max_len + 1):
@@ -81,7 +81,9 @@ def scan_occurrences(pattern: Pattern, series: TimeSeries, params: MiningParams)
     )
 
 
-def _require_tractable(max_len: int | None) -> None:
+def require_tractable(max_len: int | None) -> None:
+    """Refuse a ``max_len`` the oracle cannot mine; ``bench`` and ``check``
+    call it before mining any strategy."""
     MiningParams(0, 0, 1, max_len)  # refuses a max_len that a run would refuse
     # each length m tries all m! patterns against every window
     if max_len is None or max_len > ORACLE_MAX_LEN:

@@ -377,6 +377,28 @@ class TestBenchCommand:
                 f"aop only [{last.occurrences[-1]}]") in captured.err.splitlines()
         assert [line.split()[1] for _, line in table_rows(captured.out)] == ["11", "11"]
 
+    def test_each_strategy_is_compared_with_the_first(self, workdir, monkeypatch, capsys):
+        # only the second of three disagrees: the third, which agrees with the
+        # first, is not reported as disagreeing with the second
+        import aopmine.cli as cli
+
+        real_mine = cli.mine
+
+        def lossy_mine(series, params, kind="aop"):
+            found, stats = real_mine(series, params, kind)
+            if kind == "em":
+                last = found[-1]
+                found = found[:-1] + (FrequentPattern(last.pattern, last.occurrences[:-1]),)
+            return found, stats
+
+        monkeypatch.setattr(cli, "mine", lossy_mine)
+        argv = ["bench", *MINE_FLAGS, "--algorithms", "aop,em,nopruning", "--output", "b.csv"]
+        assert main(argv) == 3
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+        assert warnings == [
+            "warning: em and aop disagree on the frequent patterns or their occurrences"
+        ]
+
     def test_diff_stops_after_twenty_lines(self):
         # 30 differing patterns: the first 20 by (length, ranks), then "  ..."
         patterns = [*itertools.permutations((1, 2, 3)), *itertools.permutations((1, 2, 3, 4))]
@@ -425,8 +447,7 @@ class TestBenchCommand:
     ):
         # every run's pattern list and occurrence lists are list subclasses,
         # which take weak references. When a run starts, an earlier run is
-        # alive exactly when it is the reference's (the first listed) last
-        # repeat, or the oracle's, mined first, before its listed turn
+        # alive exactly when it is the reference's (the first listed) last repeat
         import aopmine.cli as cli
 
         class Observed(list):
@@ -439,11 +460,8 @@ class TestBenchCommand:
         def observed_mine(series, params, kind="aop"):
             for i, (earlier, refs) in enumerate(runs):
                 last_repeat = earlier != kind and all(later != earlier for later, _ in runs[i + 1:])
-                held = earlier == names[0] or (
-                    earlier == "oracle" and names.index(kind) < names.index("oracle")
-                )
                 alive = any(ref() is not None for ref in refs)
-                assert alive == (last_repeat and held), (earlier, i, kind, algorithms)
+                assert alive == (last_repeat and earlier == names[0]), (earlier, i, kind)
             found, stats = real_mine(series, params, kind)
             found = Observed(FrequentPattern(fp.pattern, Observed(fp.occurrences)) for fp in found)
             runs.append((kind, [weakref.ref(found), *(weakref.ref(fp.occurrences) for fp in found)]))
@@ -484,10 +502,10 @@ class TestBenchCommand:
         argv = ["bench", *MINE_FLAGS, "--algorithms", "aop,em,oracle", "--max-length", "9"]
         assert main(argv) == 1
         assert "oracle intractable: set max_len <= 7 (got 9)" in capsys.readouterr().err
-        assert kinds == ["oracle"]
+        assert kinds == []
         assert not (workdir / "sample16.bench.csv").exists()
 
-    def test_oracle_mined_first_rows_in_listed_order(self, workdir, monkeypatch, capsys):
+    def test_oracle_mined_at_its_listed_turn(self, workdir, monkeypatch, capsys):
         import aopmine.cli as cli
 
         kinds = []
@@ -500,7 +518,7 @@ class TestBenchCommand:
         monkeypatch.setattr(cli, "mine", logged_mine)
         argv = ["bench", *MINE_FLAGS, "--algorithms", "aop,em,oracle", "--max-length", "4"]
         assert main([*argv, "--output", "b.csv"]) == 0
-        assert kinds == ["oracle", "aop", "em"]
+        assert kinds == ["aop", "em", "oracle"]
         rows = (workdir / "b.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["aop", "em", "oracle"]
         lines = capsys.readouterr().out.splitlines()
@@ -652,7 +670,7 @@ class TestCheckCommand:
         assert "verdict: MISMATCH" in capsys.readouterr().out
 
     def test_max_length_cap(self, workdir, monkeypatch, capsys):
-        # refused by the oracle, which runs first, before any mining
+        # the oracle's cap is refused before any mining
         import aopmine.cli as cli
 
         kinds = []
@@ -665,7 +683,39 @@ class TestCheckCommand:
         monkeypatch.setattr(cli, "mine", logged_mine)
         assert main(["check", *MINE_FLAGS, "--max-length", "9"]) == 1
         assert "oracle intractable: set max_len <= 7 (got 9)" in capsys.readouterr().err
-        assert kinds == ["oracle"]
+        assert kinds == []
+
+    def test_only_the_oracles_occurrence_lists_outlive_its_run(
+        self, workdir, monkeypatch, capsys
+    ):
+        # the oracle's pattern list and occurrence lists are list subclasses,
+        # which take weak references: when aop's run starts, the list must be
+        # dead and every occurrence list alive in the reference map
+        import aopmine.cli as cli
+
+        class Observed(list):
+            pass
+
+        refs = {}
+        real_mine = cli.mine
+
+        def observed_mine(series, params, kind="aop"):
+            if kind == "aop":
+                assert refs["list"]() is None
+                assert all(ref() is not None for ref in refs["occurrences"])
+            found, stats = real_mine(series, params, kind)
+            found = Observed(FrequentPattern(fp.pattern, Observed(fp.occurrences)) for fp in found)
+            if kind == "oracle":
+                refs["list"] = weakref.ref(found)
+                refs["occurrences"] = [weakref.ref(fp.occurrences) for fp in found]
+            return found, stats
+
+        monkeypatch.setattr(cli, "mine", observed_mine)
+        assert main(["check", *MINE_FLAGS, "--max-length", "5"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "oracle: 11 patterns", "aop: 11 patterns", "verdict: MATCH"
+        ]
+        assert refs["occurrences"] and not any(ref() for ref in refs["occurrences"])
 
 
 class TestConfigKeysPerCommand:

@@ -342,8 +342,8 @@ def test_level_2_lists_are_one_tuple_when_every_window_fits():
 def test_equal_positions_are_one_int_object_across_levels(kind, tied):
     # every list of a run is drawn from level 2's one tuple: screening, the
     # prefix slices and matching keep their input's int objects, so a position
-    # is one object in every list (scan_em starts each group from a fresh
-    # range, so it shares only within a group)
+    # is one object in every list (scan_em starts each level from a fresh
+    # tuple of its windows, so it shares only within a level)
     series = _three_symbols(1, 3_000) if tied else _gaussian_walk(1, 3_000)
     found, _ = mine(series, MiningParams(delta=1, gamma=2, minsup=30, max_len=6), kind)
     assert max(len(fp.pattern) for fp in found) >= 5
@@ -351,6 +351,19 @@ def test_equal_positions_are_one_int_object_across_levels(kind, tied):
     for fp in found:
         assert all(first.setdefault(x, x) is x for x in fp.occurrences), fp.pattern
     assert max(first) > 2_000
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_scan_em_shares_one_int_object_per_position_in_each_level(tied):
+    # every scan_em group of a level is tried at the same tuple of window starts
+    series = _three_symbols(1, 3_000) if tied else _gaussian_walk(1, 3_000)
+    found, _ = mine(series, MiningParams(delta=1, gamma=2, minsup=30, max_len=6), "scan_em")
+    assert max(len(fp.pattern) for fp in found) >= 5
+    first = {}
+    for fp in found:
+        level = first.setdefault(len(fp.pattern), {})
+        assert all(level.setdefault(x, x) is x for x in fp.occurrences), fp.pattern
+    assert max(first[5]) > 2_000
 
 
 def test_chained_memo_tells_ends_in_one_gap_apart():

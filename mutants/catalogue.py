@@ -28,8 +28,10 @@ class Mutant(NamedTuple):
 
 
 CLI = "src/aopmine/cli.py"
+INGEST = "src/aopmine/ingest.py"
 MINER = "src/aopmine/miner.py"
 PATTERNS = "src/aopmine/patterns.py"
+REPORT = "src/aopmine/report.py"
 
 CATALOGUE = (
     # faults that once survived every tier-1 test
@@ -172,5 +174,44 @@ CATALOGUE = (
         "        del got  # not held while the next strategy runs\n",
         "",
         "each strategy's occurrence map is held while the next strategy runs",
+    ),
+    # the front end: reading series, writing reports, setting up a run
+    Mutant(
+        "check-default-cap-6",
+        CLI,
+        'values.setdefault("max_length", 5)',
+        'values.setdefault("max_length", 6)',
+        "check with no --max-length caps both runs at 6, not the documented 5",
+    ),
+    Mutant(
+        "byte-order-mark-kept",
+        INGEST,
+        'path.read_bytes().decode("utf-8-sig")',
+        'path.read_bytes().decode("utf-8")',
+        "a leading byte-order mark is read as part of the first sample or key",
+    ),
+    Mutant(
+        "headerless-csv-loses-first-row",
+        INGEST,
+        "rows = itertools.chain((first,), rows)",
+        "rows = itertools.chain((), rows)",
+        "a CSV whose first row is numeric loses that row as if it were a header",
+    ),
+    Mutant(
+        "occurrences-dropped-at-the-limit",
+        REPORT,
+        "sum(fp.support for fp in patterns) <= OCCURRENCE_EMIT_LIMIT",
+        "sum(fp.support for fp in patterns) < OCCURRENCE_EMIT_LIMIT",
+        "the automatic cutoff drops occurrences at exactly the limit",
+    ),
+    Mutant(
+        "output-may-overwrite-an-input",
+        CLI,
+        "    for source in filter(None, (spec.path, config_path)):\n"
+        "        if path.exists() and Path(source).exists() and path.samefile(source):\n"
+        '            raise ConfigError(f"output {path} is the input {source}; '
+        'refusing to overwrite it")\n',
+        "",
+        "an output path naming the series or the config file overwrites it",
     ),
 )

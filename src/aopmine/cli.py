@@ -89,10 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="cross-validate the engine against the reference miner")
     _add_run_flags(p_check)
     p_check.set_defaults(func=cmd_check)
-
-    # each command reads the config keys it has a flag for, plus the label
-    for p in sub.choices.values():
-        p.set_defaults(config_keys=_CONFIG_KEYS.keys() & {a.dest for a in p._actions} | {"name"})
     return parser
 
 
@@ -127,9 +123,9 @@ def _collect_values(args: argparse.Namespace) -> dict[str, Any]:
     its config key. A file key the command does not use is refused."""
     values = parse_config(args.config) if args.config else {}
     for key in values:
-        if key not in args.config_keys:
+        if key != "name" and key not in args:
             raise ConfigError(f"{args.config}: {args.command} does not use config key {key!r}")
-    for key in args.config_keys:
+    for key in _CONFIG_KEYS:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     return values

@@ -63,14 +63,22 @@ class TestMineCommand:
         assert len(payload["patterns"]) == 11
 
     @pytest.mark.parametrize(
-        "series", [["sample16.txt"], ["sample16.csv", "--column", "close"]], ids=["plain", "csv"]
+        "argv",
+        [
+            MINE_FLAGS,
+            ["--input", "sample16.csv", "--column", "close", *MINE_FLAGS[2:]],
+            ["--config", "run.conf"],
+        ],
+        ids=["plain", "csv", "config"],
     )
-    def test_report_bytes_are_the_golden_file(self, workdir, series):
+    def test_report_bytes_are_the_golden_file(self, workdir, argv):
         # tests/data/sample16.report.json was written by the plain command; any
-        # change to the report's bytes shows here, whatever writes them, and
-        # the CSV holding the same samples must give the same bytes
-        argv = ["mine", "--input", *series, "--delta", "1", "--gamma", "2", "--minsup", "4"]
-        assert main(argv) == 0
+        # change to the report's bytes shows here, whatever writes them. The
+        # CSV holding the same samples, and a config file naming the plain
+        # series with no run flag given, must give the same bytes
+        conf = "input = sample16.txt\ndelta = 1\ngamma = 2\nminsup = 4\n"
+        (workdir / "run.conf").write_text(conf)
+        assert main(["mine", *argv]) == 0
         golden = (DATA_DIR / "sample16.report.json").read_bytes()
         assert (workdir / "sample16.report.json").read_bytes() == golden
 
@@ -626,9 +634,23 @@ class TestOutputNeverAnInput:
 
 
 class TestCheckCommand:
-    def test_sample_matches(self, workdir, capsys):
-        assert main(["check", *MINE_FLAGS, "--max-length", "5"]) == 0
-        assert "verdict: MATCH" in capsys.readouterr().out
+    def test_sample_matches(self, workdir, monkeypatch, capsys):
+        # with no --max-length both runs are capped at 5. sample16's patterns
+        # stop at length 4 and match at any cap, so the cap is read from the
+        # parameters each run receives
+        import aopmine.cli as cli
+
+        caps = []
+        real_mine = cli.mine
+
+        def logged_mine(series, params, kind="aop"):
+            caps.append((kind, params.max_len))
+            return real_mine(series, params, kind)
+
+        monkeypatch.setattr(cli, "mine", logged_mine)
+        assert main(["check", *MINE_FLAGS]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "verdict: MATCH"
+        assert caps == [("oracle", 5), ("aop", 5)]
 
     def test_exact_mode_matches(self, workdir, capsys):
         (workdir / "inc.txt").write_text("".join(f"{v}\n" for v in range(30)))

@@ -252,3 +252,30 @@ def test_period_of_distinct_values_past_its_length(p):
     assert set(found["aop"]) == shapes
     for pattern, occurrences in found["aop"].items():
         assert occurrences == scan_occurrences(pattern, series, params), pattern
+
+
+def test_periodic_tied_series_every_strategy_agrees():
+    # a base of period 9, 12 or 15 over the values 0..5, repeated, plus
+    # Gaussian noise (sigma 0.2) rounded to one decimal: equal base values tie
+    # or swap order from one repeat to the next, so window shapes recur past
+    # length 9 (noise rounded to whole numbers stopped at length 8). Every
+    # strategy must find the same patterns and occurrence lists, uncapped, and
+    # each list must be the reference window scan's. oracle_mine cannot reach
+    # these lengths, so a pattern that every strategy misses stays unseen until
+    # an uncapped reference miner is in place
+    lengths = set()
+    for period in (9, 12, 15):
+        rng = random.Random(period)
+        base = [rng.randint(0, 5) for _ in range(period)]
+        series = TimeSeries(
+            tuple(round(base[i % period] + rng.gauss(0.0, 0.2), 1) for i in range(200))
+        )
+        for delta, gamma in ((0, 0), (1, 2)):
+            params = MiningParams(delta=delta, gamma=gamma, minsup=5)
+            found = {kind: freq_map(mine(series, params, kind)[0]) for kind in MINERS}
+            for kind in MINERS:
+                assert found[kind] == found["aop"], (period, delta, kind)
+            for pattern, occurrences in found["aop"].items():
+                assert occurrences == scan_occurrences(pattern, series, params), pattern
+            lengths.update(map(len, found["aop"]))
+    assert max(lengths) >= 10
